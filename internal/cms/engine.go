@@ -50,10 +50,11 @@ type Engine struct {
 	inflight map[uint32]bool
 
 	// resumePt, when valid, records a chain-boundary transition that a
-	// cancelled run had earned but not yet performed. Run replays it before
-	// anything else, with exactly the charges the uninterrupted run would
-	// have made, so a snapshot restored at that boundary stays bit-identical
-	// to a never-interrupted run (the plain dispatch path would charge
+	// cancelled or budget-stopped run had earned but not yet performed. Run
+	// replays it before anything else, with exactly the charges the
+	// uninterrupted run would have made, so a snapshot restored at that
+	// boundary stays bit-identical to a never-interrupted run (the plain
+	// dispatch path would charge
 	// DispatchToTexec and a fresh lookup the original run never paid).
 	resumePt resumePoint
 
@@ -327,13 +328,14 @@ func (e *Engine) protect(t *xlate.Translation) {
 	}
 }
 
-// resumePoint records a chain-boundary transition that a cancelled run had
+// resumePoint records a chain-boundary transition that a stopped run had
 // reached but not yet performed: translation `entry` took exit `exit`
-// (indirect or not) committing at `target`, and the cancel hook fired before
-// the successor was resolved. Serialized in snapshots; replayed by
-// resumeTranslated.
+// (indirect or not) committing at `target`, and the cancel hook fired or the
+// budget ran out before the successor was resolved. Serialized in
+// snapshots; replayed by resumeTranslated.
 type resumePoint struct {
 	valid    bool
+	budget   bool          // the stop charged a DispatchReturns the replay takes back
 	ent      *tcache.Entry // resolved at capture or restore; may be nil
 	entry    uint32
 	exit     int
@@ -349,7 +351,7 @@ func (e *Engine) runTranslated(ent *tcache.Entry) {
 	e.texecLoop(ent)
 }
 
-// resumeTranslated replays the transition a chain-boundary cancellation left
+// resumeTranslated replays the transition a chain-boundary stop left
 // pending and, if a successor resolves, continues the chain from it. The
 // charges here mirror texecLoop's transition and dispatcher-return paths
 // exactly — that equivalence is what makes a restored run's Metrics
@@ -364,6 +366,9 @@ func (e *Engine) resumeTranslated(rp resumePoint) {
 		// happen on the snapshot path (the cache is restored verbatim);
 		// degrade to plain dispatch at the committed target.
 		return
+	}
+	if rp.budget {
+		e.Metrics.DispatchReturns--
 	}
 	cpu := &e.Interp.CPU
 	e.Machine.LoadGuest(&cpu.Regs, cpu.Flags, cpu.EIP)
@@ -472,21 +477,22 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 		// case pays one extra compare against nextCancel (MaxUint64 when no
 		// hook is armed).
 		if gt := e.Metrics.GuestTotal(); gt >= e.budget || gt >= e.nextCancel {
-			if gt >= e.budget {
-				e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-				cpu.EIP = target
-				e.Metrics.DispatchReturns++
-				return
-			}
-			if e.pollCancel() {
+			if budget := gt >= e.budget; budget || e.pollCancel() {
 				// The exit is taken but its transition not yet performed.
-				// Park the transition so a snapshot restored here can replay
-				// it with the exact charges the uninterrupted run would have
-				// made (see resumeTranslated).
+				// Park the transition so a continuation — a later Run, or a
+				// snapshot restored here — can replay it with the exact
+				// charges the uninterrupted run would have made (see
+				// resumeTranslated). A budget stop charges the dispatcher
+				// return that a run ending here reports; the replay takes it
+				// back.
 				e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
 				cpu.EIP = target
+				if budget {
+					e.Metrics.DispatchReturns++
+				}
 				e.resumePt = resumePoint{
 					valid:    true,
+					budget:   budget,
 					ent:      cur,
 					entry:    cur.T.Entry,
 					exit:     out.Exit,

@@ -14,7 +14,7 @@ import (
 // determinism contract depends on — architectural state, profile, simulated
 // Metrics, the adaptive per-site policy ladders, which translations were
 // installed (by frozen request, never by artifact), the pending pipeline
-// queue, and the parked chain-boundary transition of a cancelled run — so
+// queue, and the parked chain-boundary transition of a stopped run — so
 // that a restored engine retires exactly the same future instruction stream
 // with exactly the same Metrics as the run it was captured from.
 //
@@ -58,14 +58,15 @@ type PendState struct {
 	Req   *xlate.RequestImage `json:"req"`
 }
 
-// ResumeState is the parked chain-boundary transition of a cancelled run
-// (see resumePoint in engine.go).
+// ResumeState is the parked chain-boundary transition of a cancelled or
+// budget-stopped run (see resumePoint in engine.go).
 type ResumeState struct {
 	Valid    bool   `json:"valid"`
 	Entry    uint32 `json:"entry"`
 	Exit     int    `json:"exit"`
 	Indirect bool   `json:"indirect"`
 	Target   uint32 `json:"target"`
+	Budget   bool   `json:"budget,omitempty"`
 }
 
 // EngineState is the serializable engine: everything above the platform.
@@ -138,6 +139,7 @@ func (e *Engine) ExportState() (*EngineState, error) {
 			Exit:     e.resumePt.exit,
 			Indirect: e.resumePt.indirect,
 			Target:   e.resumePt.target,
+			Budget:   e.resumePt.budget,
 		}
 	}
 	if inj := e.Cfg.Injector; inj != nil {
@@ -215,12 +217,16 @@ func RestoreEngine(plat *dev.Platform, cfg Config, s *EngineState) (*Engine, err
 		e.savedPend = append(e.savedPend, savedPending{entry: ps.Entry, due: ps.Due, req: req})
 	}
 	if s.Resume.Valid {
+		if s.Resume.Budget && s.Metrics.DispatchReturns == 0 {
+			return nil, fmt.Errorf("cms: budget resume point without the dispatcher return it charged")
+		}
 		ent := e.Cache.Peek(s.Resume.Entry)
 		if ent == nil {
 			return nil, fmt.Errorf("cms: resume point names uncached translation %#x", s.Resume.Entry)
 		}
 		e.resumePt = resumePoint{
 			valid:    true,
+			budget:   s.Resume.Budget,
 			ent:      ent,
 			entry:    s.Resume.Entry,
 			exit:     s.Resume.Exit,

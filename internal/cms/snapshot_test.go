@@ -1,6 +1,7 @@
 package cms
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"cms/internal/dev"
 	"cms/internal/tcache"
+	"cms/internal/workload"
 	"cms/internal/xlate"
 )
 
@@ -82,6 +84,71 @@ func TestEngineExportRestoreMidRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(re.Metrics, solo.Metrics) {
 		t.Fatalf("restored Metrics diverged:\nrestored %+v\nsolo     %+v", re.Metrics, solo.Metrics)
+	}
+}
+
+// TestBudgetStopContinuation stops a workload on its instruction budget and
+// continues it two ways — a second Run on the same engine, and a snapshot
+// taken at the stop and restored onto a fresh platform — and requires both
+// to end bit-identical to the uninterrupted run: registers, flags, RAM and
+// the full Metrics struct. A budget stop inside a chain must park the
+// pending transition as a cancel stop does, or the continuation re-enters
+// through the dispatcher and charges DispatchToTexec and DispatchReturns
+// where the uninterrupted run took a chain transfer.
+func TestBudgetStopContinuation(t *testing.T) {
+	for _, name := range []string{"win98_boot", "eqntott"} {
+		t.Run(name, func(t *testing.T) {
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := w.Build()
+			start := func() *Engine {
+				plat := dev.NewPlatform(img.RAM, img.Disk)
+				plat.Bus.WriteRaw(img.Org, img.Data)
+				return New(plat, img.Entry, DefaultConfig())
+			}
+			solo := start()
+			runToHalt(t, solo, img.Budget)
+			total := solo.Metrics.GuestTotal()
+			parked := 0
+			for _, stop := range []uint64{total / 3, total / 2} {
+				e := start()
+				if err := e.Run(stop); !errors.Is(err, ErrBudget) {
+					t.Fatalf("stop at %d: %v, want ErrBudget", stop, err)
+				}
+				if e.resumePt.valid {
+					parked++
+				}
+				st, err := e.ExportState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				plat, err := dev.RestorePlatform(e.Plat.ExportState())
+				if err != nil {
+					t.Fatal(err)
+				}
+				re, err := RestoreEngine(plat, DefaultConfig(), st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for form, c := range map[string]*Engine{"same engine": e, "restored snapshot": re} {
+					runToHalt(t, c, img.Budget)
+					if c.CPU().Regs != solo.CPU().Regs || c.CPU().Flags != solo.CPU().Flags {
+						t.Fatalf("stop at %d, %s: arch state %v, want %v", stop, form, c.CPU().Regs, solo.CPU().Regs)
+					}
+					if !bytes.Equal(c.Plat.Bus.ReadRaw(0, int(img.RAM)), solo.Plat.Bus.ReadRaw(0, int(img.RAM))) {
+						t.Fatalf("stop at %d, %s: RAM diverged", stop, form)
+					}
+					if !reflect.DeepEqual(c.Metrics, solo.Metrics) {
+						t.Fatalf("stop at %d, %s: Metrics diverged:\ngot  %+v\nwant %+v", stop, form, c.Metrics, solo.Metrics)
+					}
+				}
+			}
+			if parked == 0 {
+				t.Fatal("no budget stop landed inside a chain; the test exercises nothing")
+			}
+		})
 	}
 }
 
@@ -165,8 +232,9 @@ type statelessInjector struct{}
 func (statelessInjector) TexecBoundary(uint32, uint64) InjectAction { return InjectNone }
 
 // TestEngineRestoreErrors pins the restore-time refusals: incomplete state,
-// a resume point naming an uncached translation, and injector state without
-// a matching StatefulInjector in the config.
+// a resume point naming an uncached translation, a budget resume point
+// whose dispatcher-return charge is missing, and injector state without a
+// matching StatefulInjector in the config.
 func TestEngineRestoreErrors(t *testing.T) {
 	e, st := captureMidRun(t, DefaultConfig(), 10_000_000)
 
@@ -181,6 +249,13 @@ func TestEngineRestoreErrors(t *testing.T) {
 	bad.Resume = ResumeState{Valid: true, Entry: 0xdead0}
 	if _, err := RestoreEngine(e.Plat, DefaultConfig(), &bad); err == nil || !strings.Contains(err.Error(), "resume") {
 		t.Fatalf("resume to uncached entry: %v", err)
+	}
+
+	charge := *st
+	charge.Resume.Valid, charge.Resume.Budget = true, true
+	charge.Metrics.DispatchReturns = 0
+	if _, err := RestoreEngine(e.Plat, DefaultConfig(), &charge); err == nil || !strings.Contains(err.Error(), "dispatcher return") {
+		t.Fatalf("budget resume with no dispatcher return charged: %v", err)
 	}
 
 	inj := *st

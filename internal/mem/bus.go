@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cms/internal/guest"
@@ -109,7 +110,11 @@ type mmioRegion struct {
 
 // Bus is the guest memory system. The zero value is not usable; call NewBus.
 type Bus struct {
-	ram   []byte
+	// pages backs RAM one page at a time. A nil entry is a page that has
+	// never been written: it reads as zero through the shared zeroPage and
+	// is allocated by backed on its first write, so a bus costs memory in
+	// proportion to the pages its guest touches, not to its RAM size.
+	pages []*[PageSize]byte
 	attrs []Attr // one per RAM page
 
 	regions []mmioRegion
@@ -168,7 +173,7 @@ type BusStats struct {
 func NewBus(size uint32) *Bus {
 	pages := (size + PageSize - 1) / PageSize
 	b := &Bus{
-		ram:        make([]byte, pages*PageSize),
+		pages:      make([]*[PageSize]byte, pages),
 		attrs:      make([]Attr, pages),
 		protected:  make([]bool, pages),
 		fineMask:   make([]uint32, pages),
@@ -184,10 +189,55 @@ func NewBus(size uint32) *Bus {
 }
 
 // RAMSize returns the size of RAM in bytes.
-func (b *Bus) RAMSize() uint32 { return uint32(len(b.ram)) }
+func (b *Bus) RAMSize() uint32 { return uint32(len(b.pages)) << PageShift }
 
 // NumPages returns the number of RAM pages.
 func (b *Bus) NumPages() uint32 { return uint32(len(b.attrs)) }
+
+// zeroPage is what every never-written page reads as. Only read paths see
+// it: backed is the one way to obtain a page to store into, and it never
+// returns zeroPage.
+var zeroPage [PageSize]byte
+
+// view returns RAM page p for reading.
+func (b *Bus) view(p uint32) *[PageSize]byte {
+	if pg := b.pages[p]; pg != nil {
+		return pg
+	}
+	return &zeroPage
+}
+
+// backed returns RAM page p for writing, allocating it on its first write.
+// Every RAM store — Write8, Write32, WriteRaw, DMAWrite and RestoreState —
+// goes through here.
+func (b *Bus) backed(p uint32) *[PageSize]byte {
+	pg := b.pages[p]
+	if pg == nil {
+		pg = new([PageSize]byte)
+		b.pages[p] = pg
+	}
+	return pg
+}
+
+// copyOut copies RAM starting at addr into dst. Bytes of dst that fall past
+// the end of RAM are left as they are.
+func (b *Bus) copyOut(dst []byte, addr uint32) {
+	n := 0
+	for p := PageOf(addr); n < len(dst) && p < uint32(len(b.pages)); p++ {
+		n += copy(dst[n:], b.view(p)[(addr+uint32(n))&(PageSize-1):])
+	}
+}
+
+// copyIn stores data into RAM starting at addr, backing each page it
+// touches and advancing its generation. Bytes past the end of RAM are
+// dropped.
+func (b *Bus) copyIn(addr uint32, data []byte) {
+	n := 0
+	for p := PageOf(addr); n < len(data) && p < uint32(len(b.pages)); p++ {
+		n += copy(b.backed(p)[(addr+uint32(n))&(PageSize-1):], data[n:])
+		b.gen[p]++
+	}
+}
 
 // SetFineGrainCacheCap sets the number of fine-grain page entries the
 // simulated hardware cache can hold (default 8).
@@ -213,17 +263,6 @@ func (b *Bus) Gen(page uint32) uint64 {
 		return 0
 	}
 	return b.gen[page]
-}
-
-// bumpRange advances the generation of every page intersecting
-// [addr, addr+n).
-func (b *Bus) bumpRange(addr uint32, n int) {
-	if n <= 0 {
-		return
-	}
-	for p := PageOf(addr); p <= PageOf(addr+uint32(n)-1) && p < uint32(len(b.gen)); p++ {
-		b.gen[p]++
-	}
 }
 
 // AttrOf returns the guest attributes of the page containing addr; pages
@@ -495,7 +534,7 @@ func (b *Bus) Read8(addr uint32) uint8 {
 	if b.AttrOf(addr)&AttrMMIO != 0 {
 		return uint8(b.findRegion(addr).dev.MMIORead(addr, 1))
 	}
-	return b.ram[addr]
+	return b.view(PageOf(addr))[addr&(PageSize-1)]
 }
 
 // Read32 performs a guest 32-bit load (little-endian). The caller must have
@@ -504,9 +543,8 @@ func (b *Bus) Read32(addr uint32) uint32 {
 	if b.AttrOf(addr)&AttrMMIO != 0 {
 		return b.findRegion(addr).dev.MMIORead(addr, 4)
 	}
-	if int(addr)+4 <= len(b.ram) && PageOf(addr) == PageOf(addr+3) {
-		return uint32(b.ram[addr]) | uint32(b.ram[addr+1])<<8 |
-			uint32(b.ram[addr+2])<<16 | uint32(b.ram[addr+3])<<24
+	if off := addr & (PageSize - 1); off <= PageSize-4 && PageOf(addr) < uint32(len(b.pages)) {
+		return binary.LittleEndian.Uint32(b.view(PageOf(addr))[off:])
 	}
 	var v uint32
 	for i := 0; i < 4; i++ {
@@ -522,7 +560,7 @@ func (b *Bus) Write8(addr uint32, v uint8) {
 		b.findRegion(addr).dev.MMIOWrite(addr, 1, uint32(v))
 		return
 	}
-	b.ram[addr] = v
+	b.backed(PageOf(addr))[addr&(PageSize-1)] = v
 	b.gen[PageOf(addr)]++
 }
 
@@ -533,11 +571,8 @@ func (b *Bus) Write32(addr uint32, v uint32) {
 		b.findRegion(addr).dev.MMIOWrite(addr, 4, v)
 		return
 	}
-	if int(addr)+4 <= len(b.ram) && PageOf(addr) == PageOf(addr+3) {
-		b.ram[addr] = byte(v)
-		b.ram[addr+1] = byte(v >> 8)
-		b.ram[addr+2] = byte(v >> 16)
-		b.ram[addr+3] = byte(v >> 24)
+	if off := addr & (PageSize - 1); off <= PageSize-4 && PageOf(addr) < uint32(len(b.pages)) {
+		binary.LittleEndian.PutUint32(b.backed(PageOf(addr))[off:], v)
 		b.gen[PageOf(addr)]++
 		return
 	}
@@ -583,25 +618,24 @@ func (b *Bus) FetchBytes(addr uint32, dst []byte) int {
 		if m > len(dst)-n {
 			m = len(dst) - n
 		}
-		copy(dst[n:n+m], b.ram[a:uint32(a)+uint32(m)])
-		n += m
+		n += copy(dst[n:n+m], b.view(p)[a&(PageSize-1):])
 	}
 	return n
 }
 
 // ReadRaw returns a copy of n bytes of RAM at addr with no checks (for
-// loaders, snapshots, and the self-check comparators).
+// loaders, snapshots, and the self-check comparators). Bytes past the end
+// of RAM read as zero.
 func (b *Bus) ReadRaw(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	copy(out, b.ram[addr:])
+	b.copyOut(out, addr)
 	return out
 }
 
 // WriteRaw stores bytes with no checks and no protection interaction (image
-// loading only).
+// loading only). Bytes past the end of RAM are dropped.
 func (b *Bus) WriteRaw(addr uint32, data []byte) {
-	copy(b.ram[addr:], data)
-	b.bumpRange(addr, len(data))
+	b.copyIn(addr, data)
 }
 
 // DMAWrite performs a device DMA write. DMA bypasses guest page permissions
@@ -617,6 +651,5 @@ func (b *Bus) DMAWrite(addr uint32, data []byte) {
 			b.Unprotect(p)
 		}
 	}
-	copy(b.ram[addr:], data)
-	b.bumpRange(addr, len(data))
+	b.copyIn(addr, data)
 }

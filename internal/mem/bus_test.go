@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -279,5 +280,111 @@ func TestRAMRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestUnwrittenPagesReadZero reads a fresh bus through every accessor and
+// requires zeros, with no page backed by the reads.
+func TestUnwrittenPagesReadZero(t *testing.T) {
+	b := NewBus(1 << 16)
+	for _, addr := range []uint32{0, 0x1234, PageSize - 2, b.RAMSize() - 4} {
+		if v := b.Read8(addr); v != 0 {
+			t.Errorf("Read8(%#x) = %#x", addr, v)
+		}
+		if v := b.Read32(addr); v != 0 {
+			t.Errorf("Read32(%#x) = %#x", addr, v)
+		}
+		dst := []byte{1, 1, 1, 1}
+		if n := b.FetchBytes(addr, dst); n != 4 || !bytes.Equal(dst, make([]byte, 4)) {
+			t.Errorf("FetchBytes(%#x) = %d, %v", addr, n, dst)
+		}
+		if got := b.ReadRaw(addr, 4); !bytes.Equal(got, make([]byte, 4)) {
+			t.Errorf("ReadRaw(%#x) = %v", addr, got)
+		}
+	}
+	for p, pg := range b.pages {
+		if pg != nil {
+			t.Fatalf("page %d backed by reads alone", p)
+		}
+	}
+}
+
+// TestBackedUnbackedBoundary runs every accessor across the edge between
+// a backed page and a never-written one, in both orders.
+func TestBackedUnbackedBoundary(t *testing.T) {
+	const (
+		edge = 2 * PageSize // page 1 is backed, page 2 is not
+		addr = edge - 2     // the last two bytes of page 1
+	)
+	fresh := func() *Bus {
+		b := NewBus(1 << 16)
+		b.Write8(edge-1, 0xAA)
+		b.Write8(3*PageSize, 0xBB) // page 3 backed: page 2 sits between backed pages
+		return b
+	}
+	b := fresh()
+	if v := b.Read32(addr); v != 0x0000AA00 {
+		t.Errorf("Read32 backed->unbacked = %#x", v)
+	}
+	if v := b.Read32(3*PageSize - 2); v != 0x00BB0000 {
+		t.Errorf("Read32 unbacked->backed = %#x", v)
+	}
+	dst := make([]byte, 4)
+	if n := b.FetchBytes(addr, dst); n != 4 || !bytes.Equal(dst, []byte{0, 0xAA, 0, 0}) {
+		t.Errorf("FetchBytes = %d, %v", n, dst)
+	}
+	if got := b.ReadRaw(addr, 4); !bytes.Equal(got, []byte{0, 0xAA, 0, 0}) {
+		t.Errorf("ReadRaw = %v", got)
+	}
+	if b.pages[2] != nil {
+		t.Fatal("reads backed page 2")
+	}
+
+	want := []byte{0x44, 0x33, 0x22, 0x11}
+	for name, write := range map[string]func(*Bus){
+		"Write32":  func(b *Bus) { b.Write32(addr, 0x11223344) },
+		"WriteRaw": func(b *Bus) { b.WriteRaw(addr, want) },
+		"DMAWrite": func(b *Bus) { b.DMAWrite(addr, want) },
+	} {
+		b := fresh()
+		g1, g2 := b.Gen(1), b.Gen(2)
+		write(b)
+		if got := b.ReadRaw(addr, 4); !bytes.Equal(got, want) {
+			t.Errorf("%s across the edge: ReadRaw = %v", name, got)
+		}
+		if v := b.Read32(addr); v != 0x11223344 {
+			t.Errorf("%s across the edge: Read32 = %#x", name, v)
+		}
+		if b.pages[2] == nil {
+			t.Errorf("%s left page 2 unbacked", name)
+		}
+		if b.Gen(1) == g1 || b.Gen(2) == g2 {
+			t.Errorf("%s did not advance both generations", name)
+		}
+		if v := b.Read8(edge + 2); v != 0 {
+			t.Errorf("%s: byte past the write = %#x", name, v)
+		}
+	}
+}
+
+// TestFreshBusIsolation fills one bus's RAM and requires a bus made
+// afterwards to read zero everywhere: unwritten pages share one zero page,
+// so a write that reached it would leak into every other VM. The subtests
+// run in parallel so -race sees buses built and written concurrently.
+func TestFreshBusIsolation(t *testing.T) {
+	const ram = 1 << 16
+	for i := 0; i < 4; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			t.Parallel()
+			dirty := NewBus(ram)
+			for a := uint32(0); a < ram; a += 4 {
+				dirty.Write32(a, 0xDEADBEEF)
+			}
+			dirty.WriteRaw(0, bytes.Repeat([]byte{0x5A}, ram/2))
+			dirty.DMAWrite(ram/2, bytes.Repeat([]byte{0xA5}, ram/2))
+			if !bytes.Equal(NewBus(ram).ReadRaw(0, ram), make([]byte, ram)) {
+				t.Fatal("fresh bus reads non-zero RAM")
+			}
+		})
 	}
 }

@@ -30,9 +30,10 @@ func (d *fuzzDev) MMIOWrite(addr uint32, size int, v uint32) {
 // FuzzBusReadWrite asserts the fast-path/checked-path agreement contract
 // the compiled backend depends on: whenever FastRead/FastWrite approve an
 // access, the checked path must agree there is no guest fault, no MMIO
-// dispatch, and no CMS protection — and the data must be plain RAM. The
-// bus under test has an MMIO window, a protected page, and a fine-grain
-// page, so page edges against all three attribute kinds get exercised.
+// dispatch, and no CMS protection — and the data must be plain RAM, which
+// on this never-written bus reads as zero. The bus under test has an MMIO
+// window, a protected page, and a fine-grain page, so page edges against
+// all three attribute kinds get exercised.
 func FuzzBusReadWrite(f *testing.F) {
 	const (
 		ramSize  = 0x10000
@@ -47,6 +48,7 @@ func FuzzBusReadWrite(f *testing.F) {
 	f.Add(uint32(0x3010), uint8(1), uint32(5), true)          // fine-grain page
 	f.Add(uint32(ramSize-2), uint8(2), uint32(6), false)      // runs off RAM
 	f.Add(uint32(0xFFFFFFFE), uint8(2), uint32(7), true)      // address wrap
+	f.Add(uint32(0x9FFC), uint8(2), uint32(8), true)          // never-written page
 
 	f.Fuzz(func(t *testing.T, addr uint32, sizeSel uint8, val uint32, doWrite bool) {
 		bus := NewBus(ramSize)
@@ -76,8 +78,8 @@ func FuzzBusReadWrite(f *testing.F) {
 			default:
 				want, got = 0, 0
 			}
-			if want != got {
-				t.Fatalf("fast read %#x+%d: raw %#x vs accessor %#x", addr, size, want, got)
+			if want != got || want != 0 {
+				t.Fatalf("fast read %#x+%d of unwritten RAM: raw %#x vs accessor %#x", addr, size, want, got)
 			}
 		} else if rfault == nil && samePage && !bus.IsMMIO(addr) {
 			t.Fatalf("FastRead rejected a same-page RAM read at %#x+%d", addr, size)

@@ -28,9 +28,10 @@ type BusState struct {
 	Stats      BusStats   `json:"stats"`
 }
 
-// ExportState captures the bus into a BusState. Zero-filled pages are
-// compressed away; everything else is copied, so the state is independent
-// of later bus mutations.
+// ExportState captures the bus into a BusState. Only backed pages are
+// visited, and those that are zero-filled anyway are compressed away;
+// everything else is copied, so the state is independent of later bus
+// mutations.
 func (b *Bus) ExportState() *BusState {
 	s := &BusState{
 		NumPages:   b.NumPages(),
@@ -43,18 +44,19 @@ func (b *Bus) ExportState() *BusState {
 		FGCacheCap: b.fgCacheCap,
 		Stats:      b.Stats,
 	}
-	for p := uint32(0); p < s.NumPages; p++ {
-		page := b.ram[p<<PageShift : (p+1)<<PageShift]
-		if allZero(page) {
+	for p, pg := range b.pages {
+		if pg == nil || allZero(pg[:]) {
 			continue
 		}
-		s.Pages = append(s.Pages, PageData{Index: p, Data: append([]byte(nil), page...)})
+		s.Pages = append(s.Pages, PageData{Index: uint32(p), Data: append([]byte(nil), pg[:]...)})
 	}
 	return s
 }
 
 // RestoreState overwrites the bus with a previously exported state. The bus
-// must have the same RAM size the state was captured from. Generations are
+// must have the same RAM size the state was captured from. The whole state
+// is validated first, so an error leaves the bus untouched. RAM is reset to
+// unbacked pages and only the state's pages are backed. Generations are
 // restored verbatim — NOT bumped — so content caches filled before capture
 // remain exactly as valid as they were.
 func (b *Bus) RestoreState(s *BusState) error {
@@ -67,9 +69,7 @@ func (b *Bus) RestoreState(s *BusState) error {
 		uint32(len(s.Gen)) != n {
 		return fmt.Errorf("mem: snapshot page-array lengths do not match %d pages", n)
 	}
-	for i := range b.ram {
-		b.ram[i] = 0
-	}
+	seen := make([]bool, n)
 	for _, pg := range s.Pages {
 		if pg.Index >= n {
 			return fmt.Errorf("mem: snapshot page %d beyond RAM (%d pages)", pg.Index, n)
@@ -77,7 +77,14 @@ func (b *Bus) RestoreState(s *BusState) error {
 		if len(pg.Data) != PageSize {
 			return fmt.Errorf("mem: snapshot page %d has %d bytes", pg.Index, len(pg.Data))
 		}
-		copy(b.ram[pg.Index<<PageShift:], pg.Data)
+		if seen[pg.Index] {
+			return fmt.Errorf("mem: snapshot page %d appears twice", pg.Index)
+		}
+		seen[pg.Index] = true
+	}
+	clear(b.pages)
+	for _, pg := range s.Pages {
+		copy(b.backed(pg.Index)[:], pg.Data)
 	}
 	copy(b.attrs, s.Attrs)
 	copy(b.protected, s.Protected)

@@ -17,6 +17,10 @@ fi
 go vet ./...
 go test -race ./...
 
+# perfbench is its own module, so ./... above never reaches it: run its
+# result checker and smoke tests explicitly.
+(cd perfbench && go test -count=1 .)
+
 # The differential backend test is the compiled backend's correctness
 # contract (identical state and Metrics on every workload under both
 # backends); run it by name so the gate fails loudly if it is ever renamed
