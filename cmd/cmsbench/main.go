@@ -253,92 +253,10 @@ func main() {
 		fmt.Println()
 	}
 
-	run("fig2", func() error {
-		r, err := bench.Figure2()
-		if err != nil {
-			return err
-		}
-		bench.WriteFigure(os.Stdout, r)
-		return nil
-	})
-	run("fig3", func() error {
-		r, err := bench.Figure3()
-		if err != nil {
-			return err
-		}
-		bench.WriteFigure(os.Stdout, r)
-		return nil
-	})
-	run("table1", func() error {
-		rows, err := bench.Table1()
-		if err != nil {
-			return err
-		}
-		bench.WriteTable1(os.Stdout, rows)
-		return nil
-	})
-	run("selfcheck", func() error {
-		r, err := bench.SelfCheck()
-		if err != nil {
-			return err
-		}
-		bench.WriteSelfCheck(os.Stdout, r)
-		return nil
-	})
-	run("selfreval", func() error {
-		r, err := bench.SelfReval()
-		if err != nil {
-			return err
-		}
-		bench.WriteSelfReval(os.Stdout, r)
-		return nil
-	})
-	run("flow", func() error {
-		r, err := bench.Flow(*wl)
-		if err != nil {
-			return err
-		}
-		bench.WriteFlow(os.Stdout, r)
-		return nil
-	})
-	run("chain", func() error {
-		r, err := bench.Chain(*wl)
-		if err != nil {
-			return err
-		}
-		bench.WriteChain(os.Stdout, r)
-		return nil
-	})
-	run("ablate", func() error {
-		for _, f := range []func(string) (*bench.AblationResult, error){
-			bench.AblateUnroll, bench.AblateHotThreshold,
-			bench.AblateRegionCap, bench.AblateFaultThreshold,
-		} {
-			r, err := f(*wl)
-			if err != nil {
-				return err
-			}
-			bench.WriteAblation(os.Stdout, r)
-			fmt.Println()
-		}
-		return nil
-	})
-	run("hostgen", func() error {
-		rows, err := bench.HostGenerations()
-		if err != nil {
-			return err
-		}
-		bench.WriteHostGen(os.Stdout, rows)
-		return nil
-	})
-	run("faults", func() error {
-		r, err := bench.Faults()
-		if err != nil {
-			return err
-		}
-		bench.WriteFaults(os.Stdout, r)
-		return nil
-	})
+	if err := bench.WriteSimulated(os.Stdout, *exp, *wl); err != nil {
+		fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
+		os.Exit(1)
+	}
 	run("farm", func() error {
 		if bench.SerialFarmRun() {
 			bench.WarnSerialFarm(os.Stderr)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -23,6 +25,23 @@ func TestRunWorkload(t *testing.T) {
 	}
 	if r.Name != "eqntott" || r.Kind != workload.App {
 		t.Errorf("identity: %s %v", r.Name, r.Kind)
+	}
+}
+
+// simulatedSHA256 pins WriteSimulated's full output, the simulated sections
+// of `cmsbench -exp all`. They hold simulated Metrics only, so a change that
+// keeps guest behaviour and Metrics moves no byte of them; re-record the
+// digest only with a change that means to move them.
+const simulatedSHA256 = "3cf1cd7c013f8dbf5f9a649c6ab12062b0e9305f22d785b11de2690556fb7c8b"
+
+func TestSimulatedSectionsGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteSimulated(&buf, "all", "win98_boot"); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != simulatedSHA256 {
+		t.Fatalf("simulated sections changed: sha256 %s, want %s; output:\n%s", got, simulatedSHA256, buf.String())
 	}
 }
 

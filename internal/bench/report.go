@@ -97,3 +97,60 @@ func WriteFaults(w io.Writer, f *FaultMix) {
 		fmt.Fprintf(w, "%-12s %10d %12d\n", n, f.Faults[i], f.Adaptations[i])
 	}
 }
+
+// WriteSimulated runs the experiments whose output is simulated Metrics
+// alone, with no wall clock in it — fig2, fig3, table1, selfcheck,
+// selfreval, flow, chain, ablate, hostgen and faults — and prints each one
+// exp names ("all" for every one) in that order, followed by a blank line,
+// as cmsbench prints them. wl is the flow, chain and ablate workload.
+func WriteSimulated(w io.Writer, exp, wl string) error {
+	sections := []struct {
+		name string
+		run  func() error
+	}{
+		{"fig2", section(w, Figure2, WriteFigure)},
+		{"fig3", section(w, Figure3, WriteFigure)},
+		{"table1", section(w, Table1, WriteTable1)},
+		{"selfcheck", section(w, SelfCheck, WriteSelfCheck)},
+		{"selfreval", section(w, SelfReval, WriteSelfReval)},
+		{"flow", section(w, func() (*FlowResult, error) { return Flow(wl) }, WriteFlow)},
+		{"chain", section(w, func() (*ChainResult, error) { return Chain(wl) }, WriteChain)},
+		{"ablate", func() error {
+			for _, f := range []func(string) (*AblationResult, error){
+				AblateUnroll, AblateHotThreshold, AblateRegionCap, AblateFaultThreshold,
+			} {
+				r, err := f(wl)
+				if err != nil {
+					return err
+				}
+				WriteAblation(w, r)
+				fmt.Fprintln(w)
+			}
+			return nil
+		}},
+		{"hostgen", section(w, HostGenerations, WriteHostGen)},
+		{"faults", section(w, Faults, WriteFaults)},
+	}
+	for _, s := range sections {
+		if exp != "all" && exp != s.name {
+			continue
+		}
+		if err := s.run(); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// section pairs an experiment with its renderer.
+func section[T any](w io.Writer, run func() (T, error), write func(io.Writer, T)) func() error {
+	return func() error {
+		r, err := run()
+		if err != nil {
+			return err
+		}
+		write(w, r)
+		return nil
+	}
+}

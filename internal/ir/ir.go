@@ -151,17 +151,6 @@ func (o Op) SetsFlags() bool {
 	return false
 }
 
-// ReadsFlags reports whether o consumes the arithmetic flag bits as data
-// (not merely to preserve IF): carry-chained arithmetic and conditional
-// exits.
-func (o Op) ReadsFlags() bool {
-	switch o {
-	case OpAdcCC, OpSbbCC, OpExitIf:
-		return true
-	}
-	return false
-}
-
 // PlainOf maps a flag-computing ALU op to its plain counterpart, for dead
 // flag elimination. ok is false when no plain form exists (inc/dec/neg
 // become add/sub; imul/mul64 keep their value semantics elsewhere).

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"cms/internal/mem"
-	"cms/internal/vliw"
 	"cms/internal/xlate"
 )
 
@@ -390,9 +389,4 @@ func (c *Cache) Flush() {
 // Size returns the number of valid entries and their total atoms.
 func (c *Cache) Size() (entries, atoms int) {
 	return len(c.byEntry), c.curAtoms
-}
-
-// FaultCount sums a class's counter across an entry.
-func (e *Entry) FaultCount(class vliw.FaultClass) uint32 {
-	return e.FaultCounts[class]
 }

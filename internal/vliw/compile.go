@@ -1,6 +1,6 @@
 // The compiled closure-threaded backend: the software analogue of emitting
 // native molecules. Compile turns a validated Code into a flat array of
-// pre-specialized Go closures — one per molecule, with operand registers,
+// pre-specialized Go closures — one per atom, with operand registers,
 // immediates, flag-source renaming, and alias-check masks resolved at
 // compile time — which ExecCompiled threads through without ever consulting
 // the Atom structs again. The interpretive Exec re-decodes every atom
@@ -14,8 +14,8 @@
 // "Correctness of Speculative Optimizations with Dynamic Deoptimization"):
 // identical Mols/Commits/Rollbacks counts, identical fault Outcomes at the
 // same boundaries, identical gated-store-buffer and alias-table effects,
-// and the same interrupt windows at every molecule boundary. Only wall
-// clock is allowed to move.
+// and interrupts delivered at the same molecule boundaries. Only wall clock
+// is allowed to move.
 //
 // How that is kept:
 //
@@ -41,12 +41,29 @@
 //     itself leaves stale temporaries from *earlier* molecules of the failed
 //     execution — so no translation can observe the difference.
 //
+// Straight-line runs: a maximal run of fall-through molecules, ended by a
+// molecule with a control atom (branch, exit, or commit) or by the last
+// molecule, is one stretch of the translation-wide atom array plus one
+// control resolution. Every molecule gets the same entry closure, so direct
+// branches into a run's interior stay addressable: it runs the atoms from
+// its molecule to the end of the run in one flat loop, adds the crossed
+// molecule boundaries to Mols in one step, then calls the run's control.
+// The software-pipelined loop body with its `dec.c`/`brcc` tail is one
+// dispatch per iteration.
+//
+// The interrupt window is tested only at dispatch boundaries, never inside
+// a run, because only a commit can open it. Its inputs are a pending IRQ
+// line and the committed IF bit (Shadow[RFlags]). Shadow is written only by
+// commit; lines are raised by the timer, outside the executor, or by port
+// and MMIO writes, which the gated store buffer holds until commit (device
+// reads are idempotent). A commit is a control atom, so it ends a run, and
+// every run's entry is a dispatch boundary where ExecCompiled tests the
+// window: Exec, testing it at every molecule boundary, finds it closed
+// inside a run too, and both deliver at the same boundary.
+//
 // Fused fast paths: flag-computing ALU closures produce the result and the
-// EFLAGS image in one call (ALU+flags); load closures allocate their alias
-// protection entry inline (load+alias-record); and a fall-through molecule
-// is fused with a successor molecule that ends in a branch or exit
-// (compare+branch — the `dec.c` / `brcc` tail of every hot loop), with the
-// inter-molecule interrupt window and molecule count preserved exactly.
+// EFLAGS image in one call (ALU+flags), and load closures allocate their
+// alias protection entry inline (load+alias-record).
 package vliw
 
 import (
@@ -67,15 +84,15 @@ const (
 	ccBadPC int32 = -2
 )
 
-// compiledMol executes one molecule and returns the next molecule index, or
-// ccDone with the Outcome in m.cout.
+// compiledMol runs from one molecule to the end of its straight-line run
+// and returns the next molecule index, or ccDone with the Outcome in m.cout.
 type compiledMol func(m *Machine) int32
 
 // atomFn executes one non-control atom. A non-nil return is a fault Outcome
 // (the machine has already rolled back).
 type atomFn func(m *Machine) *Outcome
 
-// ctrlFn resolves a molecule's control transfer after its atoms ran.
+// ctrlFn resolves a run's control transfer after its atoms ran.
 type ctrlFn func(m *Machine) int32
 
 // CompiledCode is the closure-threaded form of one translation's Code.
@@ -83,28 +100,29 @@ type CompiledCode struct {
 	mols []compiledMol
 
 	// Compile-shape statistics (introspection and tests).
-	specialized int
-	fallbacks   int
-	fused       int
+	fallbacks int
+	fused     int
 }
 
 // Len returns the number of compiled molecules.
 func (cc *CompiledCode) Len() int { return len(cc.mols) }
 
 // Fallbacks returns how many molecules compile to the exact-semantics
-// interpreted fallback rather than a specialized closure.
+// interpreted fallback rather than specialized closures.
 func (cc *CompiledCode) Fallbacks() int { return cc.fallbacks }
 
-// Fused returns how many fall-through molecules were fused with their
-// branch-ending successor.
+// Fused returns how many fall-through molecules run on into their
+// successor within one straight-line run.
 func (cc *CompiledCode) Fused() int { return cc.fused }
 
 // ExecCompiled runs compiled code from its first molecule until an exit or a
-// fault, exactly as Exec runs the interpreted form: the same interrupt
-// window at every molecule boundary, the same molecule accounting, and the
-// same fall-off-the-end fault. The returned Outcome is machine-owned and
-// valid until the next Exec/ExecCompiled call — the hot dispatch loop reads
-// it in place rather than copying the struct on every execution.
+// fault, exactly as Exec runs the interpreted form: the same molecule
+// accounting, the same interrupt delivery, and the same fall-off-the-end
+// fault. It tests the interrupt window and the bounds at every dispatch
+// boundary, which follows every control molecule and so every commit. The
+// returned Outcome is machine-owned and valid until the next
+// Exec/ExecCompiled call — the hot dispatch loop reads it in place rather
+// than copying the struct on every execution.
 func (m *Machine) ExecCompiled(cc *CompiledCode) *Outcome {
 	pc := int32(0)
 	mols := cc.mols
@@ -114,7 +132,7 @@ func (m *Machine) ExecCompiled(cc *CompiledCode) *Outcome {
 	// every single execution); the one pointer field is cleared here.
 	m.cout.Err = nil
 	for {
-		// Interrupt window at molecule boundaries (§3.3). Pending is the
+		// Interrupt window at dispatch boundaries (§3.3). Pending is the
 		// rare side of the conjunction, so it is tested first.
 		if irq != nil && irq.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
 			m.rollback()
@@ -143,117 +161,100 @@ func Compile(code *Code) *CompiledCode {
 	if code == nil {
 		return nil
 	}
-	cc := &CompiledCode{mols: make([]compiledMol, len(code.Mols))}
+	n := len(code.Mols)
+	natoms := 0
 	for i := range code.Mols {
-		cc.mols[i] = cc.compileMol(&code.Mols[i], int32(i+1), int32(len(code.Mols)))
+		natoms += len(code.Mols[i].Atoms)
 	}
-	// Run fusion: a maximal straight-line run — fall-through molecules
-	// ending at a branch, exit, or the last molecule — executes as one flat
-	// closure call, replicating each inter-molecule boundary (interrupt
-	// window + molecule count) inline. The software-pipelined loop body
-	// with its `dec.c`/`brcc` tail is one call per iteration instead of one
-	// dispatch per molecule. Every molecule stays independently addressable
-	// for direct jumps into it: later entries of a run reuse the same base
-	// closures via a shorter slice of the shared backing array.
-	base := make([]compiledMol, len(cc.mols))
-	copy(base, cc.mols)
-	for i := 0; i < len(code.Mols); {
-		if hasControlAtom(&code.Mols[i]) {
-			i++
-			continue
+	cc := &CompiledCode{mols: make([]compiledMol, n)}
+	// No molecule appends more closures than it has atoms, so the array is
+	// never regrown. Molecule i's closures are atoms[offs[i]:offs[i+1]].
+	atoms := make([]atomFn, 0, natoms)
+	offs := make([]int32, n+1)
+	first := 0 // first molecule of the open run
+	for i := range code.Mols {
+		var ctrl ctrlFn
+		atoms, ctrl = cc.compileMol(atoms, &code.Mols[i], int32(i+1), int32(n))
+		offs[i+1] = int32(len(atoms))
+		if ctrl == nil {
+			if i < n-1 {
+				continue
+			}
+			ctrl = func(*Machine) int32 { return int32(n) } // falls off the code
 		}
-		j := i
-		for j < len(code.Mols)-1 && !hasControlAtom(&code.Mols[j]) {
-			j++
+		for k := first; k <= i; k++ {
+			cc.mols[k] = runEntry(atoms[offs[k]:offs[i+1]], offs[k:i+1], ctrl)
 		}
-		run := base[i : j+1]
-		for k := i; k < j; k++ {
-			cc.mols[k] = fuseRun(run[k-i:], int32(k))
-			cc.fused++
-		}
-		i = j + 1
+		cc.fused += i - first
+		first = i + 1
 	}
 	return cc
 }
 
-// hasControlAtom reports whether the molecule contains a branch-unit
-// control atom (branch, exit, or commit).
-func hasControlAtom(mol *Molecule) bool {
-	for i := range mol.Atoms {
-		switch mol.Atoms[i].Op {
-		case ABr, ABrCC, ABrNZ, AExit, AExitInd, ACommit:
-			return true
-		}
-	}
-	return false
-}
-
-// fuseRun welds a straight-line run of molecules into one flat closure.
-// bodies[k] is the base closure for molecule first+k; all but the last fall
-// through. A body that leaves the straight line (a fallback molecule
-// branching, or the terminal control molecule resolving) returns its target
-// to the dispatch loop; between bodies the inter-molecule boundary —
-// interrupt window, then molecule count — runs inline, exactly as
-// ExecCompiled would perform it.
-func fuseRun(bodies []compiledMol, first int32) compiledMol {
-	last := len(bodies) - 1
+// runEntry builds the entry closure of a molecule whose run continues
+// through atoms and ends in ctrl. offs holds the offset of atoms[0] in the
+// translation's array followed by the end offsets of the molecules the
+// entry crosses before the run's last, so a fault can charge Mols with
+// exactly the molecules Exec would have entered.
+func runEntry(atoms []atomFn, offs []int32, ctrl ctrlFn) compiledMol {
 	return func(m *Machine) int32 {
-		pc := first
-		for k := 0; ; k++ {
-			r := bodies[k](m)
-			if k == last || r != pc+1 {
-				return r
-			}
-			pc = r
-			if m.IRQ != nil && m.IRQ.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
-				m.rollback()
-				m.cout = Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
+		for k, f := range atoms {
+			if o := f(m); o != nil {
+				at := offs[0] + int32(k)
+				for _, end := range offs[1:] {
+					if end > at {
+						break
+					}
+					m.Mols++
+				}
+				m.cout = *o
 				return ccDone
 			}
-			m.Mols++
 		}
+		m.Mols += uint64(len(offs) - 1)
+		return ctrl(m)
 	}
 }
 
-// compileMol builds the closure for one molecule. next is the fall-through
-// molecule index; nmols bounds static branch targets.
-func (cc *CompiledCode) compileMol(mol *Molecule, next, nmols int32) compiledMol {
-	// A specialized molecule needs: at most one control atom, no
-	// read-after-write hazard (every atom reads pre-molecule state in Exec),
-	// no mid-molecule commit reordering, and only ops the builder knows.
-	nctrl := 0
-	ctrlIdx := -1
-	for i := range mol.Atoms {
-		switch mol.Atoms[i].Op {
-		case ABr, ABrCC, ABrNZ, AExit, AExitInd, ACommit:
-			nctrl++
-			ctrlIdx = i
-		}
-	}
-	if nctrl > 1 || molHazard(mol) || !commitSafe(mol, ctrlIdx) {
-		cc.fallbacks++
-		return fallbackMol(mol, next)
-	}
-
-	var fns []atomFn
-	for i := range mol.Atoms {
+// compileMol appends mol's atom closures to atoms and returns its control
+// resolution, or nil when the molecule falls through into the next one.
+// next is the fall-through molecule index; nmols bounds static branch
+// targets.
+func (cc *CompiledCode) compileMol(atoms []atomFn, mol *Molecule, next, nmols int32) ([]atomFn, ctrlFn) {
+	ctrlIdx, ok := SpecializableMol(mol)
+	mark := len(atoms)
+	for i := 0; ok && i < len(mol.Atoms); i++ {
 		a := &mol.Atoms[i]
 		if i == ctrlIdx || a.Op == ANop {
 			continue
 		}
 		fn := compileAtom(a)
-		if fn == nil { // unknown op: preserve execAtom's fault behavior
-			cc.fallbacks++
-			return fallbackMol(mol, next)
+		ok = fn != nil // unknown op: preserve execAtom's fault behavior
+		atoms = append(atoms, fn)
+	}
+	if !ok {
+		cc.fallbacks++
+		atoms = atoms[:mark]
+		if ctrlIdx < 0 {
+			// Nothing to resolve: the exact molecule is one atom of the run.
+			return append(atoms, func(m *Machine) *Outcome {
+				_, o := m.ExecMoleculeExact(mol, next)
+				return o
+			}), nil
 		}
-		fns = append(fns, fn)
+		return atoms, func(m *Machine) int32 {
+			nx, o := m.ExecMoleculeExact(mol, next)
+			if o != nil {
+				m.cout = *o
+				return ccDone
+			}
+			return nx
+		}
 	}
-	var ctrl ctrlFn
-	if ctrlIdx >= 0 {
-		ctrl = compileCtrl(&mol.Atoms[ctrlIdx], next, nmols)
+	if ctrlIdx < 0 {
+		return atoms, nil
 	}
-	cc.specialized++
-	return assembleMol(fns, ctrl, next)
+	return atoms, compileCtrl(&mol.Atoms[ctrlIdx], next, nmols)
 }
 
 // molHazard reports whether any atom reads a register that an earlier atom
@@ -309,110 +310,6 @@ func commitSafe(mol *Molecule, ctrlIdx int) bool {
 		}
 	}
 	return true
-}
-
-// assembleMol threads the atom closures and the control resolution into one
-// molecule closure, unrolled for the issue widths that actually occur.
-func assembleMol(fns []atomFn, ctrl ctrlFn, next int32) compiledMol {
-	if ctrl == nil {
-		ctrl = func(*Machine) int32 { return next }
-	}
-	switch len(fns) {
-	case 0:
-		return func(m *Machine) int32 { return ctrl(m) }
-	case 1:
-		f0 := fns[0]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	case 2:
-		f0, f1 := fns[0], fns[1]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f1(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	case 3:
-		f0, f1, f2 := fns[0], fns[1], fns[2]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f1(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f2(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	default:
-		return func(m *Machine) int32 {
-			for _, f := range fns {
-				if o := f(m); o != nil {
-					m.cout = *o
-					return ccDone
-				}
-			}
-			return ctrl(m)
-		}
-	}
-}
-
-// fallbackMol is the exact-semantics closure: it runs the molecule through
-// execAtom with Exec's deferred-write slots and control resolution, so any
-// molecule shape the specializer declines still behaves identically to the
-// interpreter.
-func fallbackMol(mol *Molecule, next int32) compiledMol {
-	return func(m *Machine) int32 {
-		const maxWidth = 16
-		var fixed [maxWidth]atomResult
-		results := fixed[:]
-		n := len(mol.Atoms)
-		if n > maxWidth {
-			results = make([]atomResult, n)
-		}
-		for i := 0; i < n; i++ {
-			if fault := m.execAtom(&mol.Atoms[i], &results[i]); fault != nil {
-				m.cout = *fault
-				return ccDone
-			}
-		}
-		for i := 0; i < n; i++ {
-			for w := 0; w < results[i].nw; w++ {
-				m.Regs[results[i].writes[w].reg] = results[i].writes[w].val
-			}
-		}
-		nx := next
-		for i := 0; i < n; i++ {
-			if results[i].exits {
-				if mol.Atoms[i].Commit {
-					m.commit()
-				}
-				return m.coutExit(results[i].exit, results[i].indTarget, results[i].indirect)
-			}
-			if results[i].branch {
-				nx = results[i].target
-				if nx == ccDone {
-					nx = ccBadPC // garbage target; fault out of range, not "done"
-				}
-			}
-		}
-		return nx
-	}
 }
 
 // coutExit fills the pending Outcome for a normal exit without touching the
@@ -504,7 +401,7 @@ func compileCtrl(a *Atom, next, nmols int32) ctrlFn {
 			return next
 		}
 	}
-	return func(*Machine) int32 { return next }
+	panic(fmt.Sprintf("vliw: compileCtrl on non-control op %d", a.Op))
 }
 
 // compileAtom builds the specialized closure for one non-control atom, with

@@ -99,8 +99,8 @@ func TestCompiledSimpleComputeAndCommit(t *testing.T) {
 	}
 }
 
-// hotLoop is the classic translated loop tail: dec.c + brcc, the
-// compare+branch pair the fusion targets.
+// hotLoop is the classic translated loop tail: dec.c + brcc ending the
+// straight-line run that is the loop body.
 func hotLoop(iters uint32) *Code {
 	return &Code{
 		NumExits: 1,
@@ -555,4 +555,194 @@ func BenchmarkExecBackends(b *testing.B) {
 			}
 		}
 	})
+}
+
+// runFaultCode builds a straight-line run of n molecules (1..n) whose last
+// molecule exits, entered by a branch from molecule 0 into molecule
+// 1+entry. Molecule 0 also records alias entry 2 over [0x6000,+4). The
+// molecule at run position pos carries flt (ANop for none) and, with hazard
+// set, a same-molecule read-after-write pair that forces the exact fallback.
+// Every third filler molecule is empty, so zero-atom molecules sit among the
+// run's boundaries.
+func runFaultCode(n, pos, entry int, flt Atom, hazard bool) *Code {
+	code := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: ALd, Rd: RTempBase + 3, Ra: RZero, Imm: 0x6000, Size: 4, ProtIdx: 2},
+			Atom{Op: ABr, Target: int32(1 + entry)}),
+	}}
+	for k := 0; k < n; k++ {
+		var atoms []Atom
+		if k%3 != 2 {
+			atoms = append(atoms, Atom{Op: AAddI, Rd: GuestReg(guest.EAX), Ra: GuestReg(guest.EAX), Imm: uint32(k + 1)})
+		}
+		if k == pos {
+			if hazard {
+				atoms = append(atoms, Atom{Op: AMovI, Rd: GuestReg(guest.ECX), Imm: 9},
+					Atom{Op: AMov, Rd: GuestReg(guest.EDX), Ra: GuestReg(guest.ECX)})
+			}
+			atoms = append(atoms, flt)
+		}
+		if k == n-1 {
+			atoms = append(atoms, Atom{Op: AExit, Commit: true, GIdx: -1})
+		}
+		code.Mols = append(code.Mols, mol(atoms...))
+	}
+	return code
+}
+
+// TestCompiledRunFaultPositions faults at every molecule of straight-line
+// runs of length 1-6, entered at the run's start and by a direct branch
+// into each interior molecule, with the faulting molecule specialized or
+// taking the exact fallback (inside the run or as its control molecule):
+// Mols, Rollbacks and the fault Outcome must match Exec exactly.
+func TestCompiledRunFaultPositions(t *testing.T) {
+	faults := []struct {
+		name string
+		atom Atom
+		want FaultClass
+	}{
+		{"none", Atom{Op: ANop}, FNone},
+		{"divide", Atom{Op: ADivU, Rd: RTempBase, Rd2: RTempBase + 1, Ra: RZero, Rb: RZero, Rc: RZero, GIdx: 3}, FGuest},
+		{"alias", Atom{Op: ASt, Ra: RZero, Rb: RZero, Imm: 0x6000, Size: 4, CheckMask: 1 << 2, GIdx: 4}, FAlias},
+		{"prot", Atom{Op: ASt, Ra: RZero, Rb: RZero, Imm: 0x5004, Size: 4, GIdx: 5}, FProt},
+	}
+	protect := func(m *Machine, bus *mem.Bus) { bus.Protect(mem.PageOf(0x5004)) }
+	for n := 1; n <= 6; n++ {
+		for pos := 0; pos < n; pos++ {
+			for entry := 0; entry < n; entry++ {
+				for _, f := range faults {
+					for _, hazard := range []bool{false, true} {
+						code := runFaultCode(n, pos, entry, f.atom, hazard)
+						out, m := runDiff(t, code, protect)
+						want := f.want
+						if pos < entry {
+							want = FNone
+						}
+						if out.Fault != want {
+							t.Fatalf("n=%d pos=%d entry=%d %s hazard=%v: fault %v, want %v",
+								n, pos, entry, f.name, hazard, out.Fault, want)
+						}
+						if want != FNone && m.Rollbacks != 1 {
+							t.Fatalf("n=%d pos=%d entry=%d %s: rollbacks %d", n, pos, entry, f.name, m.Rollbacks)
+						}
+						cc := Compile(code)
+						if (cc.Fallbacks() == 1) != hazard || cc.Fallbacks() > 1 {
+							t.Fatalf("n=%d pos=%d %s hazard=%v: fallbacks %d", n, pos, f.name, hazard, cc.Fallbacks())
+						}
+						if cc.Fused() != n-1 {
+							t.Fatalf("n=%d: fused %d, want %d", n, cc.Fused(), n-1)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompiledIRQWaitsForRunCommit pins the invariant that lets a run skip
+// the interrupt window at its inner boundaries: the window opens only at a
+// commit. A pending line with the committed IF clear stays undelivered
+// while a run-interior atom sets IF in the working flags, whether the run
+// is entered at its start or by a branch into it; once the run's ACommit
+// lands IF, both backends deliver at the very next boundary. A line raised
+// by a gated OUT inside a run likewise waits for the commit that drains it.
+func TestCompiledIRQWaitsForRunCommit(t *testing.T) {
+	sti := Atom{Op: AOrI, Rd: RFlags, Ra: RFlags, Imm: guest.FlagIF}
+	incEAX := Atom{Op: AAddI, Rd: GuestReg(guest.EAX), Ra: GuestReg(guest.EAX), Imm: 1}
+	incEBX := Atom{Op: AAddI, Rd: GuestReg(guest.EBX), Ra: GuestReg(guest.EBX), Imm: 1}
+	straight := &Code{NumExits: 1, Mols: []Molecule{
+		mol(incEAX),                         // 0
+		mol(sti),                            // 1
+		mol(incEAX),                         // 2
+		mol(Atom{Op: ACommit, Imm: 0x2000}), // 3: IF reaches Shadow here
+		mol(incEBX),                         // 4: never runs
+		exitMol(),                           // 5
+	}}
+	branchIn := &Code{NumExits: 1, Mols: []Molecule{
+		mol(incEAX, Atom{Op: ABr, Target: 2}), // 0
+		mol(incEBX),                           // 1: skipped
+		mol(sti),                              // 2
+		mol(incEAX),                           // 3
+		mol(Atom{Op: ACommit, Imm: 0x2000}),   // 4
+		mol(incEBX),                           // 5: never runs
+		exitMol(),                             // 6
+	}}
+	pendingIFClear := func(m *Machine, bus *mem.Bus) {
+		irq := &dev.IRQController{}
+		irq.Raise(dev.IRQTimer)
+		m.IRQ = irq
+	}
+	// Both paths enter four molecules, the last of them the commit.
+	for _, tc := range []struct {
+		name string
+		code *Code
+	}{{"straight", straight}, {"branch-in", branchIn}} {
+		out, m := runDiff(t, tc.code, pendingIFClear)
+		if out.Fault != FIRQ || m.Commits != 1 || m.CommittedEIP != 0x2000 {
+			t.Fatalf("%s: outcome %+v commits %d eip %#x, want FIRQ after the one commit",
+				tc.name, out, m.Commits, m.CommittedEIP)
+		}
+		if want := 4 + m.RollbackCost; m.Mols != want {
+			t.Fatalf("%s: mols %d, want %d (delivery at the boundary after the commit)", tc.name, m.Mols, want)
+		}
+		if m.Shadow[GuestReg(guest.EAX)] != 2 || m.Shadow[GuestReg(guest.EBX)] != 0 {
+			t.Fatalf("%s: committed eax=%d ebx=%d", tc.name,
+				m.Shadow[GuestReg(guest.EAX)], m.Shadow[GuestReg(guest.EBX)])
+		}
+	}
+
+	outRaises := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: AMovI, Rd: RTempBase, Imm: dev.DiskCmdRead}), // 0
+		mol(Atom{Op: AOut, Imm: dev.DiskCmdPort, Rb: RTempBase}),  // 1: gated
+		mol(incEAX),                         // 2
+		mol(Atom{Op: ACommit, Imm: 0x3000}), // 3: the OUT drains, IRQDisk rises
+		mol(incEBX),                         // 4: never runs
+		exitMol(),                           // 5
+	}}
+	out, m := runDiff(t, outRaises, func(m *Machine, bus *mem.Bus) {
+		var regs [guest.NumRegs]uint32
+		m.LoadGuest(&regs, guest.FlagsAlways|guest.FlagIF, 0x1000)
+		irq := &dev.IRQController{}
+		bus.MapPort(dev.DiskLBAPort, dev.DiskStatusPort, dev.NewDisk(bus, irq, nil))
+		m.IRQ = irq
+	})
+	if out.Fault != FIRQ || m.Commits != 1 || m.Mols != 4+m.RollbackCost {
+		t.Fatalf("gated OUT: outcome %+v commits %d mols %d, want FIRQ at the boundary after the commit",
+			out, m.Commits, m.Mols)
+	}
+}
+
+// TestCompiledDeviceReadsKeepWindowClosed: port and MMIO reads of every
+// platform device inside a run raise no line (device reads are idempotent),
+// so the interrupt window never opens there even with IF committed set.
+func TestCompiledDeviceReadsKeepWindowClosed(t *testing.T) {
+	code := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: AIn, Rd: RTempBase, Imm: dev.ConsoleStatusPort}),
+		mol(Atom{Op: AIn, Rd: RTempBase + 1, Imm: dev.TimerCountPort}),
+		mol(Atom{Op: AIn, Rd: RTempBase + 2, Imm: dev.DiskStatusPort}),
+		mol(Atom{Op: ALd, Rd: RTempBase + 3, Ra: RZero, Imm: dev.ConsoleMMIOBase, Size: 4, ProtIdx: NoAliasIdx}),
+		mol(Atom{Op: ALd, Rd: RTempBase + 4, Ra: RZero, Imm: dev.BltMMIOBase + dev.BltRegStat, Size: 4, ProtIdx: NoAliasIdx}),
+		exitMol(),
+	}}
+	var irqs []*dev.IRQController
+	out, m := runDiff(t, code, func(m *Machine, bus *mem.Bus) {
+		var regs [guest.NumRegs]uint32
+		m.LoadGuest(&regs, guest.FlagsAlways|guest.FlagIF, 0x1000)
+		irq := &dev.IRQController{}
+		console := dev.NewConsole()
+		bus.MapPort(dev.ConsoleDataPort, dev.ConsoleStatusPort, console)
+		bus.MapPort(dev.TimerPeriodPort, dev.TimerCountPort, dev.NewTimer(irq))
+		bus.MapPort(dev.DiskLBAPort, dev.DiskStatusPort, dev.NewDisk(bus, irq, nil))
+		bus.MapMMIO(dev.ConsoleMMIOBase, dev.ConsoleMMIOSize, console)
+		bus.MapMMIO(dev.BltMMIOBase, dev.BltMMIOSize, dev.NewBlt(bus, irq))
+		m.IRQ = irq
+		irqs = append(irqs, irq)
+	})
+	if out.Fault != FNone || m.Mols != uint64(len(code.Mols)) {
+		t.Fatalf("outcome %+v mols %d, want a clean exit after %d molecules", out, m.Mols, len(code.Mols))
+	}
+	for _, irq := range irqs {
+		if irq.HasPending() {
+			t.Fatal("a device read raised an interrupt line")
+		}
+	}
 }

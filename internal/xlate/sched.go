@@ -438,8 +438,8 @@ func (em *emitter) buildDeps() {
 
 	for j := range em.atoms {
 		sa := &em.atoms[j]
-		srcs := atomSourceRegs(sa.a)
-		dsts := atomDestRegs(sa.a)
+		srcs := vliw.SourceRegs(sa.a)
+		dsts := vliw.DestRegs(sa.a)
 		if sa.isExit || sa.isBarrier {
 			srcs = append(srcs, exitReads...)
 			for _, fx := range sa.fixups {
@@ -565,10 +565,6 @@ func (em *emitter) buildDeps() {
 		}
 	}
 }
-
-func atomSourceRegs(a vliw.Atom) []vliw.HReg { return vliw.SourceRegs(a) }
-
-func atomDestRegs(a vliw.Atom) []vliw.HReg { return vliw.DestRegs(a) }
 
 // schedule runs list scheduling and lays out the final code, appending exit
 // stubs and resolving branch targets.

@@ -15,7 +15,9 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
-go test -race ./...
+# The fuzzer's oracle test alone takes 520-600 s under -race on a 2-CPU
+# host, at go test's 10-minute default; give the run explicit headroom.
+go test -race -timeout 20m ./...
 
 # perfbench is its own module, so ./... above never reaches it: run its
 # result checker and smoke tests explicitly.
@@ -26,6 +28,11 @@ go test -race ./...
 # backends); run it by name so the gate fails loudly if it is ever renamed
 # away or skipped.
 go test -race -run 'TestBackendDifferential' -count=1 ./internal/bench/
+
+# The simulated sections of `cmsbench -exp all` (the EXPERIMENTS.md tables)
+# are pinned by digest: a change that keeps guest behaviour and Metrics must
+# not move a byte of them. Run by name so the gate cannot be renamed away.
+go test -run '^TestSimulatedSectionsGolden$' -count=1 ./internal/bench/
 
 # The farm differential test is the serving subsystem's correctness
 # contract (solo and in-farm runs byte-identical over the shared store,
