@@ -11,8 +11,6 @@
 //	cmsbench -exp snapshot   # checkpoint/restore costs on the hot kernels:
 //	                         # envelope bytes, save latency, warm vs cold
 //	                         # restore latency, rehydration hit rate
-//	cmsbench -exp backend    # vliw vs risc code-gen backend: Metrics-identity
-//	                         # gate plus wall-clock per workload
 //	cmsbench -workload NAME  # workload for flow/chain (default win98_boot)
 //	cmsbench -list           # list the benchmark suite
 //	cmsbench -json FILE      # write a wall-clock perf record (BENCH_*.json)
@@ -29,14 +27,20 @@
 //	                         # when effective parallelism is 1
 //	cmsbench -cpuprofile p.out -json FILE
 //	                         # capture a pprof CPU profile of the measurement
+//
+// Exit codes: 0 on success, 1 on a usage or experiment error, 2 when a
+// -baseline gate fails. The -cpuprofile and -memprofile files are written
+// on every exit.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -81,8 +85,19 @@ func parseLevels(s string) ([]int, error) {
 	return out, nil
 }
 
+// extraExperiments are the wall-clock experiments cmsbench runs after the
+// simulated sections, in order.
+var extraExperiments = []string{"farm", "snapshot", "farmscale"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig2, fig3, table1, selfcheck, selfreval, flow, chain, ablate, hostgen, faults, farm, farmscale, snapshot, backend")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	experiments := append(bench.SimulatedSections(), extraExperiments...)
+	flag := flag.NewFlagSet("cmsbench", flag.ContinueOnError)
+	flag.SetOutput(stderr)
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(experiments, ", "))
 	wl := flag.String("workload", "win98_boot", "workload for the flow/chain experiments")
 	list := flag.Bool("list", false, "list the benchmark suite and exit")
 	jsonPath := flag.String("json", "", "measure wall-clock perf over the hot kernels and write a JSON record to this file")
@@ -92,24 +107,30 @@ func main() {
 	farmVMs := flag.String("farmvms", "", "comma-separated VM levels for -exp farmscale, e.g. 1,4,8 (empty = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		return 1
+	}
 
+	if *exp != "all" && !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(stderr, "cmsbench: unknown experiment %q (want all, %s)\n", *exp, strings.Join(experiments, ", "))
+		return 1
+	}
 	levels, err := parseLevels(*farmVMs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "cmsbench: -farmvms: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "cmsbench: -farmvms: %v\n", err)
+		return 1
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cmsbench: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cmsbench: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -117,182 +138,177 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
+				fmt.Fprintf(stderr, "cmsbench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
+				fmt.Fprintf(stderr, "cmsbench: %v\n", err)
 			}
 		}()
 	}
 
 	if *jsonPath != "" || *baseline != "" {
-		// Open the output first: a bad path should fail before the
-		// minutes-long measurement, not after.
-		var f *os.File
-		if *jsonPath != "" {
-			var err error
-			f, err = os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-		}
-		if bench.SerialFarmRun() {
-			bench.WarnSerialFarm(os.Stderr)
-		}
-		rec, err := bench.Perf(*runs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cmsbench: perf: %v\n", err)
-			os.Exit(1)
-		}
-		if f != nil {
-			if err := bench.WritePerfJSON(f, rec); err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		for _, w := range rec.Workloads {
-			fmt.Printf("%-14s %10.3f ms/run  %10.3f ms pipelined  %10.3f ms interp  %7.2f Mguest/s\n",
-				w.Name, float64(w.NsPerRun)/1e6, float64(w.NsPerRunPipelined)/1e6,
-				float64(w.NsPerRunInterp)/1e6, w.MguestPerSec)
-		}
-		fmt.Println()
-		bench.WriteFarmScale(os.Stdout, rec.FarmScale)
-		if *baseline != "" {
-			bf, err := os.Open(*baseline)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: baseline: %v\n", err)
-				os.Exit(1)
-			}
-			base, err := bench.ReadPerfJSON(bf)
-			bf.Close()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "cmsbench: baseline: %v\n", err)
-				os.Exit(1)
-			}
-			deltas, regressed := bench.ComparePerf(base, rec, regressionTolerancePct)
-			fmt.Printf("\nvs %s:\n", *baseline)
-			for _, d := range deltas {
-				if d.Missing {
-					fmt.Printf("%-14s %10.3f ms/run  (not in baseline)\n", d.Name, float64(d.CurNs)/1e6)
-					continue
-				}
-				fmt.Printf("%-14s %10.3f ms -> %10.3f ms  %+7.1f%%\n",
-					d.Name, float64(d.BaseNs)/1e6, float64(d.CurNs)/1e6, d.Pct)
-			}
-			scaleDeltas, scaleRegressed, comparable := bench.CompareScaling(base, rec, scalingToleranceEff)
-			if comparable {
-				for _, d := range scaleDeltas {
-					mark := ""
-					if d.Regressed {
-						mark = "  REGRESSED"
-					}
-					fmt.Printf("scaling @%d VMs   %5.2fx -> %5.2fx%s\n", d.VMs, d.BaseEff, d.CurEff, mark)
-				}
-			} else {
-				fmt.Fprintf(os.Stderr, "cmsbench: scaling-efficiency gate skipped: baseline or current record lacks a multicore farm_scale sweep\n")
-			}
-			guardDeltas, worst := bench.GuardOverhead(rec)
-			for _, d := range guardDeltas {
-				fmt.Printf("guard %-14s %10.3f ms -> %10.3f ms  %+7.2f%%\n",
-					d.Name, float64(d.PlainNs)/1e6, float64(d.GuardedNs)/1e6, d.Pct)
-			}
-			snapDeltas, snapWorst := bench.SnapshotOverhead(rec)
-			for _, d := range snapDeltas {
-				fmt.Printf("snap  %-14s %10.3f ms -> %10.3f ms  %+7.2f%%\n",
-					d.Name, float64(d.PlainNs)/1e6, float64(d.GuardedNs)/1e6, d.Pct)
-			}
-			if regressed {
-				fmt.Fprintf(os.Stderr, "cmsbench: wall-clock regression beyond %.0f%% vs %s\n",
-					regressionTolerancePct, *baseline)
-				pprof.StopCPUProfile()
-				os.Exit(2)
-			}
-			if scaleRegressed {
-				fmt.Fprintf(os.Stderr, "cmsbench: scaling efficiency regressed beyond %.2f vs %s\n",
-					scalingToleranceEff, *baseline)
-				pprof.StopCPUProfile()
-				os.Exit(2)
-			}
-			if worst > guardTolerancePct {
-				fmt.Fprintf(os.Stderr, "cmsbench: watchdog/recover overhead %.2f%% exceeds %.1f%% on a hot kernel\n",
-					worst, guardTolerancePct)
-				pprof.StopCPUProfile()
-				os.Exit(2)
-			}
-			if snapWorst > snapshotTolerancePct {
-				fmt.Fprintf(os.Stderr, "cmsbench: unarmed checkpoint-support overhead %.2f%% exceeds %.1f%% on a hot kernel\n",
-					snapWorst, snapshotTolerancePct)
-				pprof.StopCPUProfile()
-				os.Exit(2)
-			}
-		}
-		return
+		return perf(*jsonPath, *baseline, *runs, stdout, stderr)
 	}
 
 	if *list {
-		fmt.Printf("%-18s %-5s %s\n", "name", "kind", "stands in for")
+		fmt.Fprintf(stdout, "%-18s %-5s %s\n", "name", "kind", "stands in for")
 		for _, w := range workload.All() {
-			fmt.Printf("%-18s %-5s %s\n", w.Name, w.Kind, w.Paper)
+			fmt.Fprintf(stdout, "%-18s %-5s %s\n", w.Name, w.Kind, w.Paper)
 		}
-		return
+		return 0
 	}
 
-	run := func(name string, f func() error) {
+	if err := bench.WriteSimulated(stdout, *exp, *wl); err != nil {
+		fmt.Fprintf(stderr, "cmsbench: %v\n", err)
+		return 1
+	}
+	extra := map[string]func() error{
+		"farm": func() error {
+			if bench.SerialFarmRun() {
+				bench.WarnSerialFarm(stderr)
+			}
+			rows, err := bench.FarmThroughput()
+			if err != nil {
+				return err
+			}
+			bench.WriteFarm(stdout, rows)
+			return nil
+		},
+		"snapshot": func() error {
+			rows, err := bench.SnapshotCosts()
+			if err != nil {
+				return err
+			}
+			bench.WriteSnapshot(stdout, rows)
+			return nil
+		},
+		"farmscale": func() error {
+			if bench.SerialFarmRun() {
+				bench.WarnSerialFarm(stderr)
+			}
+			rows, err := bench.FarmScale(levels, *farmJobs)
+			if err != nil {
+				return err
+			}
+			bench.WriteFarmScale(stdout, rows)
+			return nil
+		},
+	}
+	for _, name := range extraExperiments {
 		if *exp != "all" && *exp != name {
-			return
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "cmsbench: %s: %v\n", name, err)
-			os.Exit(1)
+		if err := extra[name](); err != nil {
+			fmt.Fprintf(stderr, "cmsbench: %s: %v\n", name, err)
+			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
+	}
+	return 0
+}
+
+// perf measures the wall-clock record, writes it to jsonPath when set, and
+// diffs it against the baseline record when set. It returns 2 when a
+// baseline gate fails.
+func perf(jsonPath, baseline string, runs int, stdout, stderr io.Writer) int {
+	// Open the output first: a bad path should fail before the
+	// minutes-long measurement, not after.
+	var f *os.File
+	if jsonPath != "" {
+		var err error
+		f, err = os.Create(jsonPath)
+		if err != nil {
+			fmt.Fprintf(stderr, "cmsbench: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+	}
+	if bench.SerialFarmRun() {
+		bench.WarnSerialFarm(stderr)
+	}
+	rec, err := bench.Perf(runs)
+	if err != nil {
+		fmt.Fprintf(stderr, "cmsbench: perf: %v\n", err)
+		return 1
+	}
+	if f != nil {
+		if err := bench.WritePerfJSON(f, rec); err != nil {
+			fmt.Fprintf(stderr, "cmsbench: %v\n", err)
+			return 1
+		}
+	}
+	for _, w := range rec.Workloads {
+		fmt.Fprintf(stdout, "%-14s %10.3f ms/run  %10.3f ms pipelined  %10.3f ms interp  %7.2f Mguest/s\n",
+			w.Name, float64(w.NsPerRun)/1e6, float64(w.NsPerRunPipelined)/1e6,
+			float64(w.NsPerRunInterp)/1e6, w.MguestPerSec)
+	}
+	fmt.Fprintln(stdout)
+	bench.WriteFarmScale(stdout, rec.FarmScale)
+	if baseline == "" {
+		return 0
 	}
 
-	if err := bench.WriteSimulated(os.Stdout, *exp, *wl); err != nil {
-		fmt.Fprintf(os.Stderr, "cmsbench: %v\n", err)
-		os.Exit(1)
+	bf, err := os.Open(baseline)
+	if err != nil {
+		fmt.Fprintf(stderr, "cmsbench: baseline: %v\n", err)
+		return 1
 	}
-	run("farm", func() error {
-		if bench.SerialFarmRun() {
-			bench.WarnSerialFarm(os.Stderr)
+	base, err := bench.ReadPerfJSON(bf)
+	bf.Close()
+	if err != nil {
+		fmt.Fprintf(stderr, "cmsbench: baseline: %v\n", err)
+		return 1
+	}
+	deltas, regressed := bench.ComparePerf(base, rec, regressionTolerancePct)
+	fmt.Fprintf(stdout, "\nvs %s:\n", baseline)
+	for _, d := range deltas {
+		if d.Missing {
+			fmt.Fprintf(stdout, "%-14s %10.3f ms/run  (not in baseline)\n", d.Name, float64(d.CurNs)/1e6)
+			continue
 		}
-		rows, err := bench.FarmThroughput()
-		if err != nil {
-			return err
+		fmt.Fprintf(stdout, "%-14s %10.3f ms -> %10.3f ms  %+7.1f%%\n",
+			d.Name, float64(d.BaseNs)/1e6, float64(d.CurNs)/1e6, d.Pct)
+	}
+	scaleDeltas, scaleRegressed, comparable := bench.CompareScaling(base, rec, scalingToleranceEff)
+	if comparable {
+		for _, d := range scaleDeltas {
+			mark := ""
+			if d.Regressed {
+				mark = "  REGRESSED"
+			}
+			fmt.Fprintf(stdout, "scaling @%d VMs   %5.2fx -> %5.2fx%s\n", d.VMs, d.BaseEff, d.CurEff, mark)
 		}
-		bench.WriteFarm(os.Stdout, rows)
-		return nil
-	})
-	run("snapshot", func() error {
-		rows, err := bench.SnapshotCosts()
-		if err != nil {
-			return err
-		}
-		bench.WriteSnapshot(os.Stdout, rows)
-		return nil
-	})
-	run("backend", func() error {
-		rows, err := bench.BackendDiff(*runs)
-		if err != nil {
-			return err
-		}
-		bench.WriteBackend(os.Stdout, rows)
-		return nil
-	})
-	run("farmscale", func() error {
-		if bench.SerialFarmRun() {
-			bench.WarnSerialFarm(os.Stderr)
-		}
-		rows, err := bench.FarmScale(levels, *farmJobs)
-		if err != nil {
-			return err
-		}
-		bench.WriteFarmScale(os.Stdout, rows)
-		return nil
-	})
+	} else {
+		fmt.Fprintf(stderr, "cmsbench: scaling-efficiency gate skipped: baseline or current record lacks a multicore farm_scale sweep\n")
+	}
+	guardDeltas, worst := bench.GuardOverhead(rec)
+	for _, d := range guardDeltas {
+		fmt.Fprintf(stdout, "guard %-14s %10.3f ms -> %10.3f ms  %+7.2f%%\n",
+			d.Name, float64(d.PlainNs)/1e6, float64(d.GuardedNs)/1e6, d.Pct)
+	}
+	snapDeltas, snapWorst := bench.SnapshotOverhead(rec)
+	for _, d := range snapDeltas {
+		fmt.Fprintf(stdout, "snap  %-14s %10.3f ms -> %10.3f ms  %+7.2f%%\n",
+			d.Name, float64(d.PlainNs)/1e6, float64(d.GuardedNs)/1e6, d.Pct)
+	}
+	switch {
+	case regressed:
+		fmt.Fprintf(stderr, "cmsbench: wall-clock regression beyond %.0f%% vs %s\n",
+			regressionTolerancePct, baseline)
+	case scaleRegressed:
+		fmt.Fprintf(stderr, "cmsbench: scaling efficiency regressed beyond %.2f vs %s\n",
+			scalingToleranceEff, baseline)
+	case worst > guardTolerancePct:
+		fmt.Fprintf(stderr, "cmsbench: watchdog/recover overhead %.2f%% exceeds %.1f%% on a hot kernel\n",
+			worst, guardTolerancePct)
+	case snapWorst > snapshotTolerancePct:
+		fmt.Fprintf(stderr, "cmsbench: unarmed checkpoint-support overhead %.2f%% exceeds %.1f%% on a hot kernel\n",
+			snapWorst, snapshotTolerancePct)
+	default:
+		return 0
+	}
+	return 2
 }

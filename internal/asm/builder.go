@@ -294,9 +294,6 @@ func (b *Builder) AddRR(d, s guest.Reg) *Builder { return b.AluRR("add", d, s) }
 // AddRI emits add dst, imm32.
 func (b *Builder) AddRI(d guest.Reg, imm uint32) *Builder { return b.AluRI("add", d, imm) }
 
-// SubRR emits sub dst, src.
-func (b *Builder) SubRR(d, s guest.Reg) *Builder { return b.AluRR("sub", d, s) }
-
 // SubRI emits sub dst, imm32.
 func (b *Builder) SubRI(d guest.Reg, imm uint32) *Builder { return b.AluRI("sub", d, imm) }
 
@@ -340,9 +337,6 @@ func (b *Builder) Inc(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest
 // Dec emits dec r.
 func (b *Builder) Dec(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpDEC, Dst: r}) }
 
-// Neg emits neg r.
-func (b *Builder) Neg(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpNEG, Dst: r}) }
-
 // Not emits not r.
 func (b *Builder) Not(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpNOT, Dst: r}) }
 
@@ -361,11 +355,6 @@ func (b *Builder) SarRI(r guest.Reg, n uint8) *Builder {
 	return b.Emit(guest.Insn{Op: guest.OpSARri, Dst: r, Imm: uint32(n)})
 }
 
-// ShlCL emits shl r, cl.
-func (b *Builder) ShlCL(r guest.Reg) *Builder {
-	return b.Emit(guest.Insn{Op: guest.OpSHLrc, Dst: r})
-}
-
 // ImulRR emits imul dst, src.
 func (b *Builder) ImulRR(d, s guest.Reg) *Builder {
 	return b.Emit(guest.Insn{Op: guest.OpIMULrr, Dst: d, Src: s})
@@ -376,14 +365,8 @@ func (b *Builder) ImulRI(d guest.Reg, imm uint32) *Builder {
 	return b.Emit(guest.Insn{Op: guest.OpIMULri, Dst: d, Imm: imm})
 }
 
-// Mul emits mul r.
-func (b *Builder) Mul(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpMUL, Dst: r}) }
-
 // Div emits div r.
 func (b *Builder) Div(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpDIV, Dst: r}) }
-
-// Idiv emits idiv r.
-func (b *Builder) Idiv(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpIDIV, Dst: r}) }
 
 // Push emits push r.
 func (b *Builder) Push(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpPUSHr, Dst: r}) }
@@ -395,12 +378,6 @@ func (b *Builder) PushI(imm uint32) *Builder {
 
 // Pop emits pop r.
 func (b *Builder) Pop(r guest.Reg) *Builder { return b.Emit(guest.Insn{Op: guest.OpPOPr, Dst: r}) }
-
-// Pushf emits pushf.
-func (b *Builder) Pushf() *Builder { return b.Emit(guest.Insn{Op: guest.OpPUSHF}) }
-
-// Popf emits popf.
-func (b *Builder) Popf() *Builder { return b.Emit(guest.Insn{Op: guest.OpPOPF}) }
 
 // Jmp emits jmp label.
 func (b *Builder) Jmp(label string) *Builder { return b.emitRel(guest.OpJMPrel, label) }

@@ -6,6 +6,7 @@ import (
 	"cms/internal/cms"
 	"cms/internal/dev"
 	"cms/internal/fuzzer"
+	"cms/internal/vliw"
 	"cms/internal/workload"
 )
 
@@ -29,31 +30,45 @@ func backendRun(t *testing.T, w workload.Workload, name string, cfg cms.Config) 
 	return st
 }
 
-// diffBackends runs w under cfg with the compiled backend off and on, and
-// asserts the two runs are observationally identical: same final CPU, same
+// diffBackends runs w under cfg three ways — compiled backend off, on, and
+// every translation through the independent risc test executor — and
+// asserts all three are observationally identical: same final CPU, same
 // guest memory and device output, same simulated Metrics, same cache
 // statistics. This is the deopt contract of the closure-threaded backend —
-// only wall clock may move.
+// only wall clock may move — and the risc executor's contract re-checked on
+// the real workload suite.
 func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) {
 	t.Helper()
 	ci := cfg
 	ci.EnableCompiledBackend = false
 	cc := cfg
 	cc.EnableCompiledBackend = true
+	cr := cfg
+	riscExec, calls := fuzzer.RiscExec(), 0
+	cr.Exec = func(m *vliw.Machine, code *vliw.Code) *vliw.Outcome {
+		calls++
+		return riscExec(m, code)
+	}
 
 	si := backendRun(t, w, "interp-backend", ci)
-	sc := backendRun(t, w, "compiled-backend", cc)
-
-	if d := fuzzer.DiffArch(si, sc); d != "" {
-		t.Errorf("%s: architectural state diverged: %s", w.Name, d)
+	for _, s := range []*fuzzer.State{
+		backendRun(t, w, "compiled-backend", cc),
+		backendRun(t, w, "risc-exec", cr),
+	} {
+		if d := fuzzer.DiffArch(si, s); d != "" {
+			t.Errorf("%s: architectural state diverged: %s", w.Name, d)
+		}
+		if d := fuzzer.DiffMetrics(si, s); d != "" {
+			t.Errorf("%s: %s", w.Name, d)
+		}
 	}
-	if d := fuzzer.DiffMetrics(si, sc); d != "" {
-		t.Errorf("%s: %s", w.Name, d)
+	if calls == 0 && si.Cache.Installs > 0 {
+		t.Errorf("%s: %d translations installed but the risc executor never ran", w.Name, si.Cache.Installs)
 	}
 }
 
-// TestBackendDifferential proves the compiled and interpretive backends are
-// byte-for-byte equivalent on every workload kernel — including the SMC and
+// TestBackendDifferential proves the compiled and interpretive backends and
+// the risc test executor are byte-for-byte equivalent on every workload — including the SMC and
 // adaptive-retranslation workloads — under the default (synchronous)
 // configuration.
 func TestBackendDifferential(t *testing.T) {
@@ -66,7 +81,8 @@ func TestBackendDifferential(t *testing.T) {
 
 // TestBackendDifferentialPipelined repeats the differential over the
 // concurrent translation pipeline, where compilation happens on the worker
-// goroutines rather than the engine thread.
+// goroutines rather than the engine thread (the risc executor still runs
+// on the engine thread).
 func TestBackendDifferentialPipelined(t *testing.T) {
 	cfg := cms.DefaultConfig()
 	cfg.PipelineWorkers = 2

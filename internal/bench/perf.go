@@ -109,11 +109,19 @@ func Perf(runs int) (*PerfRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		guarded, err := timeRunsGuarded(w, cms.DefaultConfig(), runs)
+		// The farm runner's fault-containment shape: the cancel hook armed
+		// with a never-set flag (the watchdog's idle state), then polling
+		// the watchdog and checkpoint flags both, as every serving job does.
+		var cancelled, checkpoint atomic.Bool
+		gcfg := cms.DefaultConfig()
+		gcfg.Cancel = cancelled.Load
+		guarded, _, err := timeRuns(w, gcfg, runs)
 		if err != nil {
 			return nil, err
 		}
-		snapReady, err := timeRunsSnapReady(w, cms.DefaultConfig(), runs)
+		scfg := cms.DefaultConfig()
+		scfg.Cancel = func() bool { return cancelled.Load() || checkpoint.Load() }
+		snapReady, _, err := timeRuns(w, scfg, runs)
 		if err != nil {
 			return nil, err
 		}
@@ -146,11 +154,26 @@ func Perf(runs int) (*PerfRecord, error) {
 // (or configs) is paid outside the timed window — without this, later
 // workloads in the sweep absorb earlier allocations' assist work and the
 // record picks up double-digit cross-run noise.
+//
+// A cfg with Cancel armed is timed in the farm runner's guarded shape: the
+// engine also runs under a recover() wrapper, so the number is what
+// serving pays per job when nothing goes wrong.
 func timeRuns(w workload.Workload, cfg cms.Config, n int) (best int64, guest uint64, err error) {
+	run := func() (*RunStats, error) { return Run(w, cfg) }
+	if cfg.Cancel != nil {
+		run = func() (r *RunStats, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("bench: %s panicked under guard: %v", w.Name, p)
+				}
+			}()
+			return Run(w, cfg)
+		}
+	}
 	for i := 0; i < n; i++ {
 		runtime.GC()
 		t0 := time.Now()
-		r, rerr := Run(w, cfg)
+		r, rerr := run()
 		d := time.Since(t0).Nanoseconds()
 		if rerr != nil {
 			return 0, 0, rerr
@@ -161,67 +184,6 @@ func timeRuns(w workload.Workload, cfg cms.Config, n int) (best int64, guest uin
 		guest = r.Metrics.GuestTotal()
 	}
 	return best, guest, nil
-}
-
-// timeRunsGuarded is timeRuns in the farm runner's fault-containment shape:
-// the cancel hook is armed with a never-set atomic flag (the watchdog's idle
-// state) and the engine runs under a recover() wrapper, so the measured
-// number is what serving actually pays per job when nothing goes wrong.
-func timeRunsGuarded(w workload.Workload, cfg cms.Config, n int) (best int64, err error) {
-	var cancelled atomic.Bool
-	cfg.Cancel = cancelled.Load
-	for i := 0; i < n; i++ {
-		runtime.GC()
-		t0 := time.Now()
-		rerr := func() (rerr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					rerr = fmt.Errorf("bench: %s panicked under guard: %v", w.Name, r)
-				}
-			}()
-			_, rerr = Run(w, cfg)
-			return rerr
-		}()
-		d := time.Since(t0).Nanoseconds()
-		if rerr != nil {
-			return 0, rerr
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// timeRunsSnapReady is timeRunsGuarded with checkpoint support armed: the
-// cancel hook polls the watchdog flag and the checkpoint flag, exactly as
-// the farm runner wires every job now that any job may be told to snapshot
-// mid-run. Neither flag ever fires, so the measured number is what serving
-// pays per job for checkpointability nobody used.
-func timeRunsSnapReady(w workload.Workload, cfg cms.Config, n int) (best int64, err error) {
-	var cancelled, checkpoint atomic.Bool
-	cfg.Cancel = func() bool { return cancelled.Load() || checkpoint.Load() }
-	for i := 0; i < n; i++ {
-		runtime.GC()
-		t0 := time.Now()
-		rerr := func() (rerr error) {
-			defer func() {
-				if r := recover(); r != nil {
-					rerr = fmt.Errorf("bench: %s panicked under snap-ready guard: %v", w.Name, r)
-				}
-			}()
-			_, rerr = Run(w, cfg)
-			return rerr
-		}()
-		d := time.Since(t0).Nanoseconds()
-		if rerr != nil {
-			return 0, rerr
-		}
-		if best == 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
 }
 
 // GuardDelta is one workload's watchdog + panic-isolation overhead.

@@ -104,10 +104,36 @@ func WriteFaults(w io.Writer, f *FaultMix) {
 // exp names ("all" for every one) in that order, followed by a blank line,
 // as cmsbench prints them. wl is the flow, chain and ablate workload.
 func WriteSimulated(w io.Writer, exp, wl string) error {
-	sections := []struct {
-		name string
-		run  func() error
-	}{
+	for _, s := range simulatedSections(w, wl) {
+		if exp != "all" && exp != s.name {
+			continue
+		}
+		if err := s.run(); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
+}
+
+// SimulatedSections returns the experiment names WriteSimulated accepts
+// besides "all", in report order.
+func SimulatedSections() []string {
+	var names []string
+	for _, s := range simulatedSections(io.Discard, "") {
+		names = append(names, s.name)
+	}
+	return names
+}
+
+// simSection is one named simulated experiment bound to its writer.
+type simSection struct {
+	name string
+	run  func() error
+}
+
+func simulatedSections(w io.Writer, wl string) []simSection {
+	return []simSection{
 		{"fig2", section(w, Figure2, WriteFigure)},
 		{"fig3", section(w, Figure3, WriteFigure)},
 		{"table1", section(w, Table1, WriteTable1)},
@@ -131,16 +157,6 @@ func WriteSimulated(w io.Writer, exp, wl string) error {
 		{"hostgen", section(w, HostGenerations, WriteHostGen)},
 		{"faults", section(w, Faults, WriteFaults)},
 	}
-	for _, s := range sections {
-		if exp != "all" && exp != s.name {
-			continue
-		}
-		if err := s.run(); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }
 
 // section pairs an experiment with its renderer.

@@ -62,14 +62,6 @@ type Config struct {
 	// the interpretive backend (the differential test in internal/bench
 	// asserts this on every workload).
 	EnableCompiledBackend bool
-	// Backend selects which code-gen backend builds the executable form
-	// when EnableCompiledBackend is on: "vliw" (or empty) for the
-	// closure-threaded backend, "risc" for the register-IR backend with
-	// lazy EFLAGS materialization. Both are bit-identical to the
-	// interpretive backend at every commit boundary (the ninth fuzzer
-	// oracle leg holds them to it); the tag participates in translation
-	// content keys, so mixed-backend farms never dedup across backends.
-	Backend string
 	// EnableChaining links translation exits directly (§2); off forces
 	// every exit through the dispatcher for the chaining experiment.
 	EnableChaining bool
@@ -150,14 +142,13 @@ type Config struct {
 	// PoisonTTL is how long storm- or panic-implicated keys stay
 	// quarantined (0 = tcache.DefaultPoisonTTL).
 	PoisonTTL time.Duration
-}
 
-// ValidBackend reports whether s is a recognized Config.Backend value:
-// empty (inherit/default), xlate.BackendVLIW, or xlate.BackendRISC. Entry
-// points that accept a backend from the outside (farm specs, cmsrun flags,
-// the serve API) validate with this before it reaches a translator.
-func ValidBackend(s string) bool {
-	return s == "" || s == xlate.BackendVLIW || s == xlate.BackendRISC
+	// Exec, when non-nil, executes every translation in place of the
+	// compiled and interpretive paths, from the translation's immutable
+	// scheduled code. It exists so tests can run an independent executor
+	// (the fuzzer's risc leg) through the full engine; nothing outside
+	// tests sets it.
+	Exec func(m *vliw.Machine, code *vliw.Code) *vliw.Outcome
 }
 
 // DefaultConfig returns the standard configuration.

@@ -8,7 +8,6 @@ import (
 	"cms/internal/dev"
 	"cms/internal/interp"
 	"cms/internal/ir"
-	"cms/internal/risc"
 	"cms/internal/tcache"
 	"cms/internal/vliw"
 	"cms/internal/xlate"
@@ -111,7 +110,6 @@ func New(plat *dev.Platform, entry uint32, cfg Config) *Engine {
 			Prof:           ip.Prof,
 			Host:           cfg.Host,
 			CompileBackend: cfg.EnableCompiledBackend,
-			Backend:        cfg.Backend,
 		},
 		Cache: c,
 		sites: make(map[uint32]*site),
@@ -424,13 +422,13 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 		}
 
 		mols0 := e.Machine.Mols
-		// Backend fast path when the translation carries an executable
-		// form — register-IR or closure-threaded, whichever its request
-		// selected; the interpreter is the always-correct fallback (and
-		// the only path when EnableCompiledBackend is off).
+		// Compiled fast path when the translation carries closure-threaded
+		// code; the interpreter is the always-correct fallback (and the
+		// only path when EnableCompiledBackend is off). A test executor,
+		// when configured, replaces both.
 		var out *vliw.Outcome
-		if rc := cur.T.Risc; rc != nil {
-			out = risc.Exec(e.Machine, rc)
+		if x := e.Cfg.Exec; x != nil {
+			out = x(e.Machine, cur.T.Code)
 		} else if cc := cur.T.Compiled; cc != nil {
 			// Machine-owned result, read in place — copying the Outcome
 			// struct per execution is measurable on hot chained loops.

@@ -149,12 +149,6 @@ type JobSpec struct {
 	// (fuzzer.NewChaosSchedule).
 	InjectSeed  uint64 `json:"inject_seed,omitempty"`
 	ChaosPanics bool   `json:"chaos_panics,omitempty"`
-	// Backend overrides the engine's code-gen backend for this job
-	// ("vliw" or "risc"; empty inherits the farm engine config). The tag
-	// is part of every translation content key, so jobs on different
-	// backends never share artifacts even when they run identical guest
-	// regions against the same shared store.
-	Backend string `json:"backend,omitempty"`
 }
 
 // Result is a completed VM's final architectural state and statistics.
@@ -352,9 +346,6 @@ func (f *Farm) Submit(spec JobSpec) (JobView, error) {
 			return JobView{}, err
 		}
 	}
-	if !cms.ValidBackend(spec.Backend) {
-		return JobView{}, fmt.Errorf("farm: unknown backend %q", spec.Backend)
-	}
 	return f.admit(spec, nil, nil)
 }
 
@@ -368,9 +359,6 @@ func (f *Farm) Submit(spec JobSpec) (JobView, error) {
 func (f *Farm) SubmitRestore(blob []byte, spec JobSpec) (JobView, error) {
 	if spec.Workload != "" || spec.Source != "" {
 		return JobView{}, errors.New("farm: restore spec must not name a workload or source")
-	}
-	if !cms.ValidBackend(spec.Backend) {
-		return JobView{}, fmt.Errorf("farm: unknown backend %q", spec.Backend)
 	}
 	s, err := snapshot.Decode(blob)
 	if err != nil {
@@ -813,12 +801,6 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 
 	cfg := engCfg
 	cfg.SharedStore = f.store
-	if spec.Backend != "" {
-		// Per-job backend override. Demotion is orthogonal: a demoted
-		// (nocompile/interp) retry keeps the tag but builds no executable
-		// form, identically for either backend.
-		cfg.Backend = spec.Backend
-	}
 
 	var sched *fuzzer.Schedule
 	if spec.InjectSeed != 0 {

@@ -3,9 +3,12 @@ package fuzzer
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"cms/internal/cms"
+	"cms/internal/risc"
 	"cms/internal/tcache"
+	"cms/internal/vliw"
 )
 
 // The differential oracle runs one generated program through every
@@ -20,9 +23,9 @@ import (
 // the engine actually makes:
 //
 //   - sync class {xlate, compiled, risc, sharedA, sharedB}: the compiled
-//     backend, the risc register-IR backend, and the shared store are pure
-//     wall-clock optimizations, so the full Metrics struct and cache
-//     statistics are identical.
+//     backend, the risc test executor, and the shared store are pure
+//     wall-clock choices, so the full Metrics struct and cache statistics
+//     are identical.
 //   - pipelined class {pipe1, pipe2}: installs happen at deterministic due
 //     times independent of worker count, so any worker count >= 1 produces
 //     identical Metrics (but different from synchronous translation, which
@@ -40,6 +43,23 @@ func OracleConfig() cms.Config {
 	c := cms.DefaultConfig()
 	c.HotThreshold = 10
 	return c
+}
+
+// RiscExec returns a cms.Config.Exec that runs every translation through
+// the independent risc executor: the scheduled code is lowered to the risc
+// register IR (once per *vliw.Code — translation clones share their code)
+// and executed with lazy EFLAGS. It is structurally the furthest executor
+// from the interpreter, so holding it to the same contract is the
+// strongest cross-check the oracle has.
+func RiscExec() func(m *vliw.Machine, code *vliw.Code) *vliw.Outcome {
+	var lowered sync.Map // *vliw.Code -> *risc.Code
+	return func(m *vliw.Machine, code *vliw.Code) *vliw.Outcome {
+		rc, ok := lowered.Load(code)
+		if !ok {
+			rc, _ = lowered.LoadOrStore(code, risc.Lower(code))
+		}
+		return risc.Exec(m, rc.(*risc.Code))
+	}
 }
 
 // Divergence describes an oracle failure: which two configurations
@@ -93,11 +113,10 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	interp := run("interp", func(c *cms.Config) { c.NoTranslate = true }, nil)
 	xlate := run("xlate", func(c *cms.Config) { c.EnableCompiledBackend = false }, nil)
 	compiled := run("compiled", nil, nil)
-	// Ninth leg: the risc register-IR backend with lazy EFLAGS
-	// materialization. Structurally the furthest configuration from the
-	// interpreter, held to the same contract on both axes.
-	riscBackend := func(c *cms.Config) { c.Backend = "risc" }
-	riscRun := run("risc", riscBackend, nil)
+	// Ninth leg: the risc test executor with lazy EFLAGS
+	// materialization, held to the same contract on both axes.
+	riscExec := func(c *cms.Config) { c.Exec = RiscExec() }
+	riscRun := run("risc", riscExec, nil)
 	pipe1 := run("pipe1", func(c *cms.Config) { c.PipelineWorkers = 1 }, nil)
 	pipe2 := run("pipe2", func(c *cms.Config) { c.PipelineWorkers = 2 }, nil)
 	// A forced-wide shard array: on small hosts NewShared would collapse to
@@ -118,7 +137,7 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 			// Injected rollbacks through the risc executor: every fault
 			// class must discard its lazy flag images with the rest of the
 			// speculative state.
-			run("inj-risc", riscBackend, NewSchedule(p.Seed^0x5A5A)),
+			run("inj-risc", riscExec, NewSchedule(p.Seed^0x5A5A)),
 			// Injected evictions against the warm sharded store: forced
 			// invalidations make the VM re-request regions the store still
 			// holds, so the hit path runs mid-schedule and must stay
@@ -154,12 +173,11 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	snapCold := snapLeg("snap-shared-cold", shared, 2,
 		func(c *cms.Config) { c.SharedStore = tcache.NewSharedShards(0, 4) }, nil, nil)
 	snapPipe := snapLeg("snap-pipe", func(c *cms.Config) { c.PipelineWorkers = 1 }, 3, nil, nil, nil)
-	// Random-boundary snapshot under the risc backend, against the store
-	// the vliw shared legs already warmed: the capture half populates
-	// risc-tagged keys beside the vliw-tagged ones, and the restore half
-	// must rehydrate strictly from its own backend's entries — the
-	// content keys keep the backends apart in a mixed store.
-	snapRisc := snapLeg("snap-risc", func(c *cms.Config) { shared(c); riscBackend(c) }, 5, nil, nil, nil)
+	// Random-boundary snapshot under the risc executor, against the store
+	// the shared legs already warmed: both halves run store-served
+	// translations through risc, so a snapshot boundary must be as
+	// invisible to it as to the compiled path.
+	snapRisc := snapLeg("snap-risc", func(c *cms.Config) { shared(c); riscExec(c) }, 5, nil, nil, nil)
 	all = append(all, snapCompiled, snapWarm, snapCold, snapPipe, snapRisc)
 	if opts.Inject {
 		// Fault injection across a checkpoint: the schedule state rides the

@@ -17,14 +17,13 @@ const oracleSeeds = 500
 
 // TestOracle is the differential oracle over generated programs: every
 // seed's program runs under pure interpretation, synchronous translation
-// with and without the compiled backend, the risc register-IR backend, the
+// with and without the compiled backend, the risc test executor, the
 // pipelined engine at two worker counts, and a shared-store pair, and must
 // produce byte-identical architectural state everywhere plus identical
 // Metrics within each equivalence class. Five checkpoint legs additionally
 // snapshot mid-run at a seed-derived boundary and finish in a restored
-// engine — warm store, cold store, pipelined, risc against a mixed-backend
-// store — and must be indistinguishable from their uninterrupted
-// counterparts.
+// engine — warm store, cold store, pipelined, risc against the warm store
+// — and must be indistinguishable from their uninterrupted counterparts.
 func TestOracle(t *testing.T) {
 	n := uint64(oracleSeeds)
 	if testing.Short() {

@@ -69,7 +69,6 @@ type EngineConfig struct {
 	EnableStylized         bool   `json:"enable_stylized,omitempty"`
 	EnableGroups           bool   `json:"enable_groups,omitempty"`
 	EnableCompiledBackend  bool   `json:"enable_compiled_backend,omitempty"`
-	Backend                string `json:"backend,omitempty"`
 	EnableChaining         bool   `json:"enable_chaining,omitempty"`
 	NoTranslate            bool   `json:"no_translate,omitempty"`
 	TCacheCapAtoms         int    `json:"tcache_cap_atoms,omitempty"`
@@ -93,7 +92,6 @@ func FromCMS(c cms.Config) EngineConfig {
 		EnableStylized:         c.EnableStylized,
 		EnableGroups:           c.EnableGroups,
 		EnableCompiledBackend:  c.EnableCompiledBackend,
-		Backend:                c.Backend,
 		EnableChaining:         c.EnableChaining,
 		NoTranslate:            c.NoTranslate,
 		TCacheCapAtoms:         c.TCacheCapAtoms,
@@ -120,7 +118,6 @@ func (ec EngineConfig) ToCMS() cms.Config {
 		EnableStylized:         ec.EnableStylized,
 		EnableGroups:           ec.EnableGroups,
 		EnableCompiledBackend:  ec.EnableCompiledBackend,
-		Backend:                ec.Backend,
 		EnableChaining:         ec.EnableChaining,
 		NoTranslate:            ec.NoTranslate,
 		TCacheCapAtoms:         ec.TCacheCapAtoms,

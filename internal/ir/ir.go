@@ -13,13 +13,14 @@
 //   - temporaries start at VTemp0 and are dead at exits.
 //
 // The IR and the Region/exit shape are backend-neutral: the same optimized
-// sequence feeds both the vliw scheduler (internal/vliw) and, after atom
-// scheduling, the risc register-IR lowering (internal/risc). In particular
-// the optimizer's dead-flag analysis — which renames flag defs that no exit
-// observes away from VFlags so the scheduler can speculate past them — is
-// exactly the property the risc backend reuses for lazy EFLAGS
-// materialization: a renamed flag def becomes a deferred flag image, and
-// only defs still targeting VFlags force an architectural materialization.
+// sequence feeds the vliw scheduler (internal/vliw) and, after atom
+// scheduling, the risc test executor's register-IR lowering
+// (internal/risc). In particular the optimizer's dead-flag analysis — which
+// renames flag defs that no exit observes away from VFlags so the scheduler
+// can speculate past them — is exactly the property risc reuses for lazy
+// EFLAGS materialization: a renamed flag def becomes a deferred flag image,
+// and only defs still targeting VFlags force an architectural
+// materialization.
 package ir
 
 import (

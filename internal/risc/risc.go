@@ -1,6 +1,7 @@
-// Package risc is the second code-gen backend: a RISC-flavored load/store
+// Package risc is an independent test executor: a RISC-flavored load/store
 // register IR lowered from the vliw backend's scheduled atom form, with its
-// own executor (exec.go). The defining difference from the vliw ISA is that
+// own executor (exec.go). Production never runs it; tests reach it through
+// cms.Config.Exec (see fuzzer.RiscExec). The defining difference from the vliw ISA is that
 // the instruction set carries no architectural condition codes at all —
 // flag-computing operations produce their data result eagerly and record
 // the EFLAGS computation as a pending (kind, operands, input-image) triple,
@@ -23,7 +24,7 @@
 // instruction that runs the original molecule through the machine's
 // exact-semantics path (vliw.ExecMoleculeExact). The ninth fuzzer-oracle
 // leg (internal/fuzzer) and the FuzzRiscLowerRoundtrip native target hold
-// the two backends to that contract on every generated program.
+// the two executors to that contract on every generated program.
 package risc
 
 import (

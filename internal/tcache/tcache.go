@@ -285,12 +285,10 @@ func (c *Cache) invalidate(e *Entry, retire bool) {
 		}
 	} else {
 		// Replaced in place and not retired: this translation can never be
-		// dispatched again, so drop the executable forms eagerly (whichever
-		// backend built one). Anything still holding the entry sees
-		// Valid==false and re-dispatches; it must never reach stale
-		// compiled closures or lowered blocks.
+		// dispatched again, so drop the compiled form eagerly. Anything
+		// still holding the entry sees Valid==false and re-dispatches; it
+		// must never reach stale compiled closures.
 		e.T.Compiled = nil
-		e.T.Risc = nil
 	}
 }
 

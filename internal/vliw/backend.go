@@ -1,11 +1,12 @@
-// Backend SPI: the exported surface an alternate code-gen backend needs to
-// drive the Machine's speculation hardware — commit/rollback boundaries, the
+// Executor SPI: the exported surface an independent executor needs to drive
+// the Machine's speculation hardware — commit/rollback boundaries, the
 // gated store buffer, the alias table, interrupt windows, and outcome
-// plumbing — without reaching into the unexported internals. internal/risc
-// is the first consumer: its executor threads these primitives so that every
-// fault class, every commit, and every counter lands bit-identically to
-// Exec/ExecCompiled. Anything a second backend is allowed to observe or
-// mutate goes through here; everything else stays private to this package.
+// plumbing — without reaching into the unexported internals. internal/risc,
+// the test executor the fuzzer oracle runs through cms.Config.Exec, is the
+// consumer: it threads these primitives so that every fault class, every
+// commit, and every counter lands bit-identically to Exec/ExecCompiled.
+// Anything another executor is allowed to observe or mutate goes through
+// here; everything else stays private to this package.
 package vliw
 
 import (

@@ -12,10 +12,8 @@ import (
 
 // RequestImage is the serializable form of a frozen Request. It carries the
 // same canonical inputs Request.Key hashes — entry, trace, captured source
-// ranges and bytes, policy, MMIO profile bits, host configuration, the
-// compile flag, and the backend tag (omitted for vliw, so pre-risc images
-// deserialize unchanged) — so Reify().Key() equals the original request's
-// key and
+// ranges and bytes, policy, MMIO profile bits, host configuration, and the
+// compile flag — so Reify().Key() equals the original request's key and
 // Reify().Translate() rebuilds a byte-identical Translation. This is how a
 // snapshot records "the set of installed translations" without ever storing
 // the artifacts themselves.
@@ -28,7 +26,6 @@ type RequestImage struct {
 	MMIO    []uint32        `json:"mmio,omitempty"`
 	Host    vliw.HostConfig `json:"host"`
 	Compile bool            `json:"compile"`
-	Backend string          `json:"backend,omitempty"`
 }
 
 // Image exports the request.
@@ -41,7 +38,6 @@ func (req *Request) Image() *RequestImage {
 		Bytes:   make([][]byte, len(req.bytes)),
 		Host:    req.host,
 		Compile: req.compile,
-		Backend: req.backend,
 	}
 	for i, b := range req.bytes {
 		im.Bytes[i] = append([]byte(nil), b...)
@@ -76,7 +72,6 @@ func (im *RequestImage) Reify() (*Request, error) {
 		bytes:   make([][]byte, len(im.Bytes)),
 		host:    im.Host,
 		compile: im.Compile,
-		backend: normBackend(im.Backend),
 	}
 	for i, b := range im.Bytes {
 		req.bytes[i] = append([]byte(nil), b...)

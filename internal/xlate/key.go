@@ -57,11 +57,7 @@ func (kh *keyHasher) addrSet(set map[uint32]bool) {
 //   - the speculation policy, canonically encoded (per-address sets sorted:
 //     map iteration order must never reach the hash),
 //   - the MMIO profile bits of the trace's addresses,
-//   - the host microarchitecture and the compile-backend flag,
-//   - the code-gen backend tag. Only a non-vliw backend writes bytes, so
-//     vliw keys are identical to pre-backend-tag keys — existing snapshots
-//     and stores stay addressable — while risc-built artifacts can never
-//     dedup onto vliw ones (or vice versa) in a mixed-backend farm.
+//   - the host microarchitecture and the compile-backend flag.
 //
 // Anything not covered here must never influence Request.Translate.
 func (req *Request) Key() Key {
@@ -124,10 +120,6 @@ func (req *Request) Key() Key {
 		kh.u32(1)
 	} else {
 		kh.u32(0)
-	}
-
-	if req.backend != "" {
-		kh.h.Write([]byte("backend:" + req.backend))
 	}
 
 	var k Key

@@ -8,7 +8,6 @@ import (
 	"cms/internal/interp"
 	"cms/internal/ir"
 	"cms/internal/mem"
-	"cms/internal/risc"
 	"cms/internal/vliw"
 )
 
@@ -23,16 +22,10 @@ type Translation struct {
 	Policy Policy
 
 	// Compiled is the closure-threaded form of Code, built on the pipeline
-	// workers when the translator's CompileBackend is on and the backend is
-	// vliw. Nil means the engine interprets Code; the translation cache
-	// nils it when an entry is replaced in place so stale compiled code can
-	// never run.
+	// workers when the translator's CompileBackend is on. Nil means the
+	// engine interprets Code; the translation cache nils it when an entry
+	// is replaced in place so stale compiled code can never run.
 	Compiled *vliw.CompiledCode
-
-	// Risc is the register-IR form of Code, built instead of Compiled when
-	// the translator's Backend is BackendRISC. At most one of Compiled and
-	// Risc is non-nil; the cache teardown rules apply to both identically.
-	Risc *risc.Code
 
 	// SharedKey is the content key this artifact was stored under when it
 	// came out of a farm's shared store (HasSharedKey reports whether it
@@ -67,13 +60,12 @@ type Translation struct {
 func (t *Translation) GuestLen() int { return len(t.Insns) }
 
 // Clone returns a per-VM installable view of a shared translation artifact.
-// The immutable build products — scheduled code, the backend's executable
-// form (compiled closures or risc register IR, both of which take the
-// executing Machine as a parameter and hold no VM state), the instruction
-// list, exits, source ranges, snapshot, and mask — are shared; the mutable
-// install-side state is not: the clone builds its own prologue lazily, and
-// cache teardown (which nils Compiled/Risc on in-place replacement)
-// touches only the clone. A shared-store artifact is therefore frozen
+// The immutable build products — scheduled code, the compiled closures
+// (which take the executing Machine as a parameter and hold no VM state),
+// the instruction list, exits, source ranges, snapshot, and mask — are
+// shared; the mutable install-side state is not: the clone builds its own
+// prologue lazily, and cache teardown (which nils Compiled on in-place
+// replacement) touches only the clone. A shared-store artifact is therefore frozen
 // forever: it is cloned at every install and never installed itself.
 func (t *Translation) Clone() *Translation {
 	c := *t
@@ -227,18 +219,10 @@ type Translator struct {
 	Host vliw.HostConfig
 
 	// CompileBackend makes Translate also compile the scheduled code into
-	// the backend's executable form — closure-threaded vliw.Compile by
-	// default, risc.Lower when Backend is BackendRISC. The compile runs
-	// wherever Translate runs — on the pipeline workers in the concurrent
+	// closure-threaded form (vliw.Compile). The compile runs wherever
+	// Translate runs — on the pipeline workers in the concurrent
 	// configuration — keeping it off the engine thread.
 	CompileBackend bool
-
-	// Backend selects the code-gen backend for the executable form:
-	// BackendVLIW (or empty) for the closure-threaded vliw backend,
-	// BackendRISC for the register-IR backend. The tag is part of
-	// Request.Key, so artifacts from different backends never dedup onto
-	// each other in a shared store.
-	Backend string
 
 	// Translated counts successful translations; InsnsTranslated counts
 	// guest instructions they covered (the translator work metric).
@@ -301,31 +285,7 @@ type Request struct {
 	host vliw.HostConfig
 	// compile is the translator's CompileBackend, frozen at Prepare time.
 	compile bool
-	// backend is the translator's normalized Backend ("" for vliw,
-	// BackendRISC for risc), frozen at Prepare time and folded into Key.
-	backend string
 }
-
-// Code-gen backend tags. The empty string and BackendVLIW are equivalent
-// everywhere: both select the closure-threaded vliw backend and both hash
-// to the identical (untagged) content key, so pre-risc snapshots and
-// stores stay compatible.
-const (
-	BackendVLIW = "vliw"
-	BackendRISC = "risc"
-)
-
-// normBackend canonicalizes a backend tag: vliw (and empty) normalize to
-// "", so only risc-built artifacts carry a tag.
-func normBackend(b string) string {
-	if b == BackendVLIW {
-		return ""
-	}
-	return b
-}
-
-// Backend returns the request's normalized backend tag ("" means vliw).
-func (req *Request) Backend() string { return req.backend }
 
 // Prepare runs the front end of translation — region selection and source
 // capture — against the live bus, and returns a self-contained Request for
@@ -344,7 +304,6 @@ func (tr *Translator) Prepare(entry uint32, pol Policy) (*Request, error) {
 		ranges:  ir.SrcRangesOf(insns),
 		host:    tr.host(),
 		compile: tr.CompileBackend,
-		backend: normBackend(tr.Backend),
 	}
 	req.bytes = make([][]byte, len(req.ranges))
 	for ri, r := range req.ranges {
@@ -388,11 +347,7 @@ func (req *Request) Translate() (*Translation, error) {
 		t, err := req.translateOnce(cap)
 		if err == nil {
 			if req.compile {
-				if req.backend == BackendRISC {
-					t.Risc = risc.Lower(t.Code)
-				} else {
-					t.Compiled = vliw.Compile(t.Code)
-				}
+				t.Compiled = vliw.Compile(t.Code)
 			}
 			t.Req = req
 			return t, nil

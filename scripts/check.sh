@@ -25,7 +25,8 @@ go test -race -timeout 20m ./...
 
 # The differential backend test is the compiled backend's correctness
 # contract (identical state and Metrics on every workload under both
-# backends); run it by name so the gate fails loudly if it is ever renamed
+# backends), and re-checks the risc test executor on the same real boots
+# and apps; run it by name so the gate fails loudly if it is ever renamed
 # away or skipped.
 go test -race -run 'TestBackendDifferential' -count=1 ./internal/bench/
 
@@ -36,9 +37,8 @@ go test -run '^TestSimulatedSectionsGolden$' -count=1 ./internal/bench/
 
 # The farm differential test is the serving subsystem's correctness
 # contract (solo and in-farm runs byte-identical over the shared store,
-# including mixed vliw/risc farms whose backend-tagged keys must stay
-# disjoint); run the package by name, under -race, so cross-VM sharing
-# bugs fail here.
+# with duplicate workloads so cross-VM dedup engages); run the package by
+# name, under -race, so cross-VM sharing bugs fail here.
 # tcache rides along for the sharded-store torture test: shard regressions
 # (single-flight, per-shard budgets, stats folding) must not land quietly.
 go test -race -count=1 ./internal/farm/... ./internal/tcache/...
@@ -49,12 +49,6 @@ go test -race -count=1 ./internal/farm/... ./internal/tcache/...
 # the healthy jobs. Run by name so the capstone cannot be renamed away.
 go test -race -count=1 -run 'TestChaosServing' ./internal/farm/
 
-# Backend equivalence over the real workload suite: cmsbench -exp backend
-# hard-fails if Metrics or cache statistics diverge between the vliw and
-# risc backends on ANY workload — the ninth oracle leg's contract, re-run
-# on full boots and apps instead of generated programs.
-go run ./cmd/cmsbench -exp backend -runs 1
-
 # Multicore farm smoke: a short sustained-load sweep through the farmscale
 # harness at 1 and 4 VMs (GOMAXPROCS pinned per level). On a single-core
 # host this prints the loud effective-parallelism warning and still checks
@@ -63,7 +57,7 @@ go run ./cmd/cmsbench -exp farmscale -farmvms 1,4 -farmjobs 24
 
 # Generative fuzzer smoke: sweep 64 seeds through the full differential
 # oracle — nine straight legs per seed (interp, xlate, compiled, the risc
-# register-IR backend, two pipeline widths, two shared-store runs, plus the
+# test executor, two pipeline widths, two shared-store runs, plus the
 # random-boundary snapshot legs). A divergence writes a shrunk reproducer
 # to internal/fuzzer/testdata/corpus/ and fails the gate.
 go run ./cmd/cmsfuzz -seeds 64
@@ -93,9 +87,9 @@ cover_gate() {
 }
 cover_gate ./internal/cms/ 78.0
 cover_gate ./internal/xlate/ 80.0
-# The risc backend is held to a higher floor: it is a from-scratch second
-# executor whose only consumer protection is its tests (94%+ measured when
-# the gate was introduced).
+# The risc test executor is held to a higher floor: it is a from-scratch
+# second executor whose only consumer protection is its tests (94%+
+# measured when the gate was introduced).
 cover_gate ./internal/risc/ 80.0
 
 # cmsserve smoke: start the daemon with incident capture armed, drive one
