@@ -33,10 +33,10 @@ func TestFailingExperimentWritesProfiles(t *testing.T) {
 }
 
 // TestUnknownExperimentRejected: a name that selects nothing is an error
-// that lists the valid names, not a silent exit 0. The retired backend
-// experiment is one such name.
+// that lists the valid names, not a silent exit 0. The retired backend and
+// farm experiments are such names.
 func TestUnknownExperimentRejected(t *testing.T) {
-	for _, exp := range []string{"nosuch", "backend"} {
+	for _, exp := range []string{"nosuch", "backend", "farm"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-exp", exp}, &stdout, &stderr); code != 1 {
 			t.Errorf("-exp %s: exit %d, want 1", exp, code)
@@ -48,6 +48,23 @@ func TestUnknownExperimentRejected(t *testing.T) {
 			if !strings.Contains(stderr.String(), want) {
 				t.Errorf("-exp %s: stderr %q lacks %q", exp, stderr.String(), want)
 			}
+		}
+	}
+}
+
+// TestRetiredPerfFlagsRejected: the wall-clock perf-record flags are gone,
+// so each one fails at flag parsing, before any measurement prints.
+func TestRetiredPerfFlagsRejected(t *testing.T) {
+	for _, args := range [][]string{{"-json", "x"}, {"-runs", "3"}, {"-baseline", "x"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v printed %q", args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "flag provided but not defined") {
+			t.Errorf("%v: stderr %q does not name the undefined flag", args, stderr.String())
 		}
 	}
 }

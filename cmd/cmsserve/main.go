@@ -26,6 +26,10 @@
 //	GET  /healthz        → 200 ok (process is up)
 //	GET  /readyz         → 200 accepting work, 503 draining or breaker open
 //
+// The JSON bodies of POST /v1/jobs and /v1/migrate are decoded strictly:
+// an unknown field, data after the object, or a body over 8 MiB is a 400
+// "bad_json".
+//
 // Every 4xx/5xx body is JSON with a machine-readable "code" field
 // ("bad_json", "bad_spec", "queue_full", "draining", "breaker_open",
 // "not_found", "not_checkpointable", "migrate_failed") plus a human "error"
@@ -134,9 +138,25 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]string{"code": code, "error": msg})
 }
 
+// decodeBody strictly decodes a request body holding exactly one JSON
+// object into v. An unknown field, data after the object, or a body over
+// maxJobBody is an error, so a misspelled "deadline_ms" or a stale field
+// is refused instead of silently dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("unexpected data after the JSON object")
+	}
+	return nil
+}
+
 func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var spec farm.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadJSON, "bad JSON: "+err.Error())
 		return
 	}
@@ -174,6 +194,13 @@ func (s *server) writeAdmission(w http.ResponseWriter, v farm.JobView, err error
 // RAM pages are elided) so real envelopes are far smaller than guest RAM,
 // but a hostile upload must not buffer unboundedly.
 const maxSnapshotBody = 256 << 20
+
+// maxJobBody bounds the JSON bodies of POST /v1/jobs and /v1/migrate. It is
+// sized from the 2 MiB of guest RAM that a source job's assembled image must
+// fit: at 4× guest RAM, even a `.db` listing that fills all of it (three to
+// four bytes of JSON text per image byte) is admitted, while one request
+// cannot make the daemon buffer more than 8 MiB.
+const maxJobBody = 4 * (2 << 20)
 
 // snapshotJob checkpoints a queued or running job at its next commit
 // boundary and streams back the self-checking envelope. The job stays on
@@ -247,7 +274,7 @@ func (s *server) migrateJob(w http.ResponseWriter, r *http.Request) {
 		Job    string `json:"job"`
 		Target string `json:"target"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadJSON, "bad JSON: "+err.Error())
 		return
 	}

@@ -247,6 +247,8 @@ func TestErrorCodes(t *testing.T) {
 		}
 		return ts
 	}
+	// One byte over the body cap, inside an otherwise well-formed spec.
+	oversized := `{"source":"` + strings.Repeat("x", maxJobBody) + `"}`
 
 	cases := []struct {
 		name       string
@@ -262,6 +264,13 @@ func TestErrorCodes(t *testing.T) {
 		{"empty spec", healthy, "POST", "/v1/jobs", `{}`, http.StatusBadRequest, "bad_spec", false},
 		{"unknown workload", healthy, "POST", "/v1/jobs", `{"workload":"nope"}`, http.StatusBadRequest, "bad_spec", false},
 		{"workload and source", healthy, "POST", "/v1/jobs", `{"workload":"eqntott","source":"hlt"}`, http.StatusBadRequest, "bad_spec", false},
+		{"unknown field", healthy, "POST", "/v1/jobs", `{"workload":"eqntott","backend":"risc","no_such_field":1}`, http.StatusBadRequest, "bad_json", false},
+		{"misspelled field", healthy, "POST", "/v1/jobs", `{"workload":"eqntott","deadline":5}`, http.StatusBadRequest, "bad_json", false},
+		{"trailing garbage", healthy, "POST", "/v1/jobs", `{"workload":"eqntott"} garbage`, http.StatusBadRequest, "bad_json", false},
+		{"second object", healthy, "POST", "/v1/jobs", `{"workload":"eqntott"}{"workload":"li"}`, http.StatusBadRequest, "bad_json", false},
+		{"oversized body", healthy, "POST", "/v1/jobs", oversized, http.StatusBadRequest, "bad_json", false},
+		{"migrate unknown field", healthy, "POST", "/v1/migrate", `{"job":"job-1","target":"http://127.0.0.1:1","via":"x"}`, http.StatusBadRequest, "bad_json", false},
+		{"migrate trailing garbage", healthy, "POST", "/v1/migrate", `{"job":"job-1","target":"http://127.0.0.1:1"}]`, http.StatusBadRequest, "bad_json", false},
 		{"missing job", healthy, "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, "not_found", false},
 		{"queue full", congested, "POST", "/v1/jobs", `{"workload":"eqntott"}`, http.StatusTooManyRequests, "queue_full", true},
 		{"draining submit", drained, "POST", "/v1/jobs", `{"workload":"eqntott"}`, http.StatusServiceUnavailable, "draining", true},

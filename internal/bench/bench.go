@@ -55,15 +55,6 @@ func Run(w workload.Workload, cfg cms.Config) (*RunStats, error) {
 	}, nil
 }
 
-// MustRun is Run for harness paths where failure is a bug.
-func MustRun(w workload.Workload, cfg cms.Config) *RunStats {
-	r, err := Run(w, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // degradation returns the percentage slowdown of variant over base.
 func degradation(base, variant uint64) float64 {
 	if base == 0 {

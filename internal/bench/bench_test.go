@@ -277,8 +277,14 @@ func TestRunsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := MustRun(w, cms.DefaultConfig())
-	b := MustRun(w, cms.DefaultConfig())
+	a, err := Run(w, cms.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(w, cms.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Mols() != b.Mols() || a.Metrics != b.Metrics {
 		t.Errorf("nondeterministic run: %d vs %d molecules", a.Mols(), b.Mols())
 	}

@@ -30,13 +30,14 @@ func backendRun(t *testing.T, w workload.Workload, name string, cfg cms.Config) 
 	return st
 }
 
-// diffBackends runs w under cfg three ways — compiled backend off, on, and
-// every translation through the independent risc test executor — and
-// asserts all three are observationally identical: same final CPU, same
-// guest memory and device output, same simulated Metrics, same cache
-// statistics. This is the deopt contract of the closure-threaded backend —
-// only wall clock may move — and the risc executor's contract re-checked on
-// the real workload suite.
+// diffBackends runs w under cfg four ways — compiled backend off, on, every
+// translation through the independent risc test executor, and compiled with
+// an idle cancel hook armed — and asserts all four are observationally
+// identical: same final CPU, same guest memory and device output, same
+// simulated Metrics, same cache statistics. This is the deopt contract of
+// the closure-threaded backend — only wall clock may move — the risc
+// executor's contract re-checked on the real workload suite, and the
+// watchdog's promise that a hook which never fires is invisible.
 func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) {
 	t.Helper()
 	ci := cfg
@@ -49,11 +50,17 @@ func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) {
 		calls++
 		return riscExec(m, code)
 	}
+	// The farm arms every job's hook the same way: polled at commit
+	// boundaries, never firing until a deadline or checkpoint request.
+	ch := cfg
+	var polls uint64
+	ch.Cancel = func() bool { polls++; return false }
 
 	si := backendRun(t, w, "interp-backend", ci)
 	for _, s := range []*fuzzer.State{
 		backendRun(t, w, "compiled-backend", cc),
 		backendRun(t, w, "risc-exec", cr),
+		backendRun(t, w, "idle-cancel-hook", ch),
 	} {
 		if d := fuzzer.DiffArch(si, s); d != "" {
 			t.Errorf("%s: architectural state diverged: %s", w.Name, d)
@@ -64,6 +71,18 @@ func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) {
 	}
 	if calls == 0 && si.Cache.Installs > 0 {
 		t.Errorf("%s: %d translations installed but the risc executor never ran", w.Name, si.Cache.Installs)
+	}
+	// A false poll re-arms the hook a full quantum past the retirement
+	// count it was taken at, so the k-th poll needs at least k quanta
+	// retired: GuestTotal/quantum is an exact upper bound, and the hook must
+	// be reached at all once a run retires two quanta.
+	const quantum = 4096 // cms.Config's normalized CancelQuantum
+	guest := si.Metrics.GuestTotal()
+	if polls > guest/quantum {
+		t.Errorf("%s: cancel hook polled %d times over %d insns, bound %d", w.Name, polls, guest, guest/quantum)
+	}
+	if guest > 2*quantum && polls == 0 {
+		t.Errorf("%s: cancel hook never polled over %d insns", w.Name, guest)
 	}
 }
 

@@ -10,15 +10,19 @@ import (
 	"cms/internal/farm"
 )
 
-// The farmscale experiment is the repo's multicore truth serum: it measures
-// whether the serving farm actually converts cores into throughput, or just
-// interleaves VMs on one core. Every level pins GOMAXPROCS to the level's
-// VM count, floods the farm with a sustained mixed-workload job stream, and
-// records aggregate throughput, per-core throughput, p50/p99 job latency,
-// and scaling efficiency — throughput at N effective cores divided by N
-// times the single-VM figure. BENCH_PR4.json's flat 1→8-VM curve (recorded
-// on num_cpu=1, which nothing warned about at the time) is exactly the
-// failure mode this experiment exists to expose and gate against.
+// The farmscale experiment measures whether the serving farm actually
+// converts cores into throughput, or just interleaves VMs on one core. Every
+// level pins GOMAXPROCS to the level's VM count, floods the farm with a
+// sustained mixed-workload job stream, and reports aggregate throughput,
+// per-core throughput, p50/p99 job latency, and scaling efficiency —
+// throughput at N effective cores divided by N times the single-VM figure.
+// It is a printed report, not a gate: on a 1-CPU host the curve is flat by
+// construction, and the harness says so (WarnSerialFarm).
+
+// FarmWorkloads are the kernels the farm sweep serves. The job list cycles
+// through them, so every level sees repeated workloads and the shared
+// store's dedup engages the way it would in a real serving farm.
+var FarmWorkloads = []string{"eqntott", "compress", "alvinn"}
 
 // FarmScaleLevels are the default concurrency levels: at each level the
 // farm runs N VM slots with GOMAXPROCS set to N.
@@ -33,30 +37,30 @@ const FarmScaleJobs = 1000
 type FarmScalePerf struct {
 	// VMs is the farm's concurrent VM slots; GOMAXPROCS is set to the same
 	// value for the level's duration.
-	VMs int `json:"vms"`
+	VMs int
 	// EffectiveCores is min(VMs, NumCPU) — the parallelism the host can
 	// actually deliver. When this is 1 the level measures interleaving, not
 	// scaling, and the harness says so loudly.
-	EffectiveCores int   `json:"effective_cores"`
-	Jobs           int   `json:"jobs"`
-	WallNs         int64 `json:"wall_ns"`
+	EffectiveCores int
+	Jobs           int
+	WallNs         int64
 	// VMsPerSec is aggregate serving throughput: completed VM runs per
 	// wall-clock second across the whole farm.
-	VMsPerSec float64 `json:"vms_per_sec"`
+	VMsPerSec float64
 	// VMsPerSecPerCore normalizes throughput by EffectiveCores.
-	VMsPerSecPerCore float64 `json:"vms_per_sec_per_core"`
+	VMsPerSecPerCore float64
 	// P50Ns/P99Ns are submit-to-completion job latencies (queue wait
 	// included) over all jobs of the level.
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
+	P50Ns int64
+	P99Ns int64
 	// ScalingEfficiency is VMsPerSec divided by (EffectiveCores × the
 	// 1-VM level's VMsPerSec): 1.0 is perfect linear scaling, and on a
 	// single-core host it degenerates to ~1.0 by construction (throughput
 	// can only interleave). Zero when the sweep has no 1-VM level.
-	ScalingEfficiency float64 `json:"scaling_efficiency"`
-	DedupRatio        float64 `json:"dedup_ratio"`
-	StoreHits         uint64  `json:"store_hits"`
-	StoreMisses       uint64  `json:"store_misses"`
+	ScalingEfficiency float64
+	DedupRatio        float64
+	StoreHits         uint64
+	StoreMisses       uint64
 }
 
 // FarmScale runs the sustained-load sweep: for each level N it sets
@@ -144,9 +148,9 @@ func farmScaleLevel(vms, jobs int) (*FarmScalePerf, error) {
 }
 
 // SerialFarmRun reports whether farm measurements taken right now can only
-// interleave, never parallelize: the condition that silently invalidated
-// the PR1→PR4 bench history (every record carried num_cpu=1 and nobody
-// noticed). Callers print WarnSerialFarm when it is true.
+// interleave, never parallelize (NumCPU or GOMAXPROCS is 1), in which case
+// a flat throughput curve says nothing about scaling. Callers print
+// WarnSerialFarm when it is true.
 func SerialFarmRun() bool {
 	return runtime.NumCPU() <= 1 || runtime.GOMAXPROCS(0) <= 1
 }
@@ -182,56 +186,4 @@ func rowsJobs(rows []FarmScalePerf) int {
 		return 0
 	}
 	return rows[0].Jobs
-}
-
-// ScalingDelta is one level's efficiency change against a baseline record.
-type ScalingDelta struct {
-	VMs       int
-	BaseEff   float64
-	CurEff    float64
-	Regressed bool
-}
-
-// CompareScaling gates on multicore scaling efficiency: for every VM level
-// present in both records, the current efficiency must not fall more than
-// tol (absolute, e.g. 0.10) below the baseline's. Records measured with
-// effective parallelism 1 — on either side — are incomparable: efficiency
-// degenerates to ~1.0 on a serial host, so gating there would wave through
-// exactly the regressions this gate exists to catch. In that case (or when
-// either record predates farm_scale) CompareScaling returns ok=false and
-// the caller warns instead of gating.
-func CompareScaling(base, cur *PerfRecord, tol float64) (deltas []ScalingDelta, regressed, ok bool) {
-	if len(base.FarmScale) == 0 || len(cur.FarmScale) == 0 {
-		return nil, false, false
-	}
-	if maxEffectiveCores(base.FarmScale) <= 1 || maxEffectiveCores(cur.FarmScale) <= 1 {
-		return nil, false, false
-	}
-	baseBy := make(map[int]FarmScalePerf, len(base.FarmScale))
-	for _, r := range base.FarmScale {
-		baseBy[r.VMs] = r
-	}
-	for _, r := range cur.FarmScale {
-		b, found := baseBy[r.VMs]
-		if !found || r.VMs == 1 {
-			continue // efficiency at the 1-VM anchor is 1.0 by definition
-		}
-		d := ScalingDelta{VMs: r.VMs, BaseEff: b.ScalingEfficiency, CurEff: r.ScalingEfficiency}
-		d.Regressed = b.ScalingEfficiency-r.ScalingEfficiency > tol
-		if d.Regressed {
-			regressed = true
-		}
-		deltas = append(deltas, d)
-	}
-	return deltas, regressed, true
-}
-
-func maxEffectiveCores(rows []FarmScalePerf) int {
-	max := 0
-	for _, r := range rows {
-		if r.EffectiveCores > max {
-			max = r.EffectiveCores
-		}
-	}
-	return max
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestFarmScaleShape runs a miniature sustained-load sweep and checks every
-// recorded field is internally consistent. Kept small: the real sweep is
-// cmsbench -exp farmscale / the BENCH_*.json record.
+// reported field is internally consistent. Kept small: the real sweep is
+// cmsbench -exp farmscale.
 func TestFarmScaleShape(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	rows, err := FarmScale([]int{1, 2}, 9)
@@ -46,50 +46,5 @@ func TestFarmScaleShape(t *testing.T) {
 	WriteFarmScale(&sb, rows)
 	if !strings.Contains(sb.String(), "VMs/s/core") {
 		t.Error("WriteFarmScale output missing per-core column")
-	}
-}
-
-// TestCompareScaling checks the efficiency gate: regressions beyond the
-// tolerance fail, records measured without real parallelism are declared
-// incomparable rather than silently gated.
-func TestCompareScaling(t *testing.T) {
-	multi := func(effs ...float64) []FarmScalePerf {
-		rows := []FarmScalePerf{{VMs: 1, EffectiveCores: 1, ScalingEfficiency: 1}}
-		vms := 2
-		for _, e := range effs {
-			rows = append(rows, FarmScalePerf{VMs: vms, EffectiveCores: vms, ScalingEfficiency: e})
-			vms *= 2
-		}
-		return rows
-	}
-	base := &PerfRecord{FarmScale: multi(0.9, 0.8)}
-	cur := &PerfRecord{FarmScale: multi(0.85, 0.78)}
-	deltas, regressed, ok := CompareScaling(base, cur, 0.10)
-	if !ok || regressed {
-		t.Errorf("within-tolerance sweep: ok=%v regressed=%v", ok, regressed)
-	}
-	if len(deltas) != 2 {
-		t.Errorf("%d deltas, want 2 (1-VM anchor excluded)", len(deltas))
-	}
-
-	bad := &PerfRecord{FarmScale: multi(0.9, 0.4)}
-	if _, regressed, ok := CompareScaling(base, bad, 0.10); !ok || !regressed {
-		t.Errorf("lost-core sweep not flagged: ok=%v regressed=%v", ok, regressed)
-	}
-
-	// Serial records (effective cores 1 everywhere) are incomparable.
-	serial := &PerfRecord{FarmScale: []FarmScalePerf{
-		{VMs: 1, EffectiveCores: 1, ScalingEfficiency: 1},
-		{VMs: 4, EffectiveCores: 1, ScalingEfficiency: 1},
-	}}
-	if _, _, ok := CompareScaling(serial, cur, 0.10); ok {
-		t.Error("serial baseline must be incomparable, not gated")
-	}
-	if _, _, ok := CompareScaling(base, serial, 0.10); ok {
-		t.Error("serial current record must be incomparable, not gated")
-	}
-	// Pre-farmscale records (no sweep at all) are incomparable too.
-	if _, _, ok := CompareScaling(&PerfRecord{}, cur, 0.10); ok {
-		t.Error("record without farm_scale must be incomparable")
 	}
 }

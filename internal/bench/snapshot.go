@@ -13,27 +13,35 @@ import (
 	"cms/internal/workload"
 )
 
+// PerfWorkloads are the hot kernels: the translation-dominated benchmarks
+// where simulator speed matters most. SnapshotCosts measures checkpoint and
+// restore over them, and BenchmarkEngineRun profiles one full run of each.
+var PerfWorkloads = []string{
+	"eqntott", "compress", "alvinn", "tomcatv", "li", "gcc",
+	"win98_boot", "quake_demo2",
+}
+
 // SnapshotPerf is one hot kernel's checkpoint/restore cost profile, measured
 // at a mid-run capture point (half the workload's retirement count).
 type SnapshotPerf struct {
-	Name string `json:"name"`
+	Name string
 	// SnapshotBytes is the serialized envelope size: header, JSON payload,
 	// integrity hash. Dominated by non-zero RAM pages.
-	SnapshotBytes int `json:"snapshot_bytes"`
+	SnapshotBytes int
 	// SaveNs is the wall-clock cost of snapshot.Save at the capture point.
-	SaveNs int64 `json:"save_ns"`
+	SaveNs int64
 	// RestoreWarmNs times snapshot.Load against a shared store that already
 	// holds the capture's translations (the live-migration receiver after
 	// prewarming, or a restore on the capturing host). RestoreColdNs is the
 	// same restore against an empty store — every translation is rebuilt by
 	// deterministic retranslation.
-	RestoreWarmNs int64 `json:"restore_warm_ns"`
-	RestoreColdNs int64 `json:"restore_cold_ns"`
+	RestoreWarmNs int64
+	RestoreColdNs int64
 	// Translations is the number of translation keys the envelope carries.
-	Translations int `json:"translations"`
+	Translations int
 	// RehydrateHitRate is the warm restore's store hit fraction (1.0 when
 	// the store still holds everything the capture had installed).
-	RehydrateHitRate float64 `json:"rehydrate_hit_rate"`
+	RehydrateHitRate float64
 }
 
 // SnapshotCosts measures checkpoint/restore over the perf kernels: each
@@ -128,23 +136,4 @@ func WriteSnapshot(w io.Writer, rows []SnapshotPerf) {
 			float64(r.RestoreWarmNs)/1e6, float64(r.RestoreColdNs)/1e6,
 			r.Translations, 100*r.RehydrateHitRate)
 	}
-}
-
-// SnapshotOverhead compares each workload's snapshot-ready and guarded
-// timings within one record: the marginal cost of checkpoint support
-// (the second watchdog flag and the resume seam) over the fault-containment
-// shape the farm already paid for. Workloads without both measurements
-// (old records) are skipped.
-func SnapshotOverhead(rec *PerfRecord) (deltas []GuardDelta, worst float64) {
-	for _, w := range rec.Workloads {
-		if w.NsPerRunGuarded == 0 || w.NsPerRunSnapReady == 0 {
-			continue
-		}
-		pct := 100 * (float64(w.NsPerRunSnapReady) - float64(w.NsPerRunGuarded)) / float64(w.NsPerRunGuarded)
-		deltas = append(deltas, GuardDelta{Name: w.Name, PlainNs: w.NsPerRunGuarded, GuardedNs: w.NsPerRunSnapReady, Pct: pct})
-		if pct > worst {
-			worst = pct
-		}
-	}
-	return deltas, worst
 }

@@ -69,7 +69,7 @@ func (e *Engine) maybeQuarantine(ent *tcache.Entry) {
 		total += n
 	}
 	if total == th {
-		e.Cfg.SharedStore.Poison(ent.T.SharedKey, e.Cfg.PoisonTTL)
+		e.Cfg.SharedStore.Poison(ent.T.SharedKey, tcache.DefaultPoisonTTL)
 		e.trace(EvInvalidate, ent.T.Entry, "rollback storm: shared key quarantined")
 	}
 }

@@ -891,7 +891,7 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		// Contain the blast radius: quarantine the shared artifact that was
 		// executing (best single suspect) so other VMs stop importing it.
 		if key, ok := e.ImplicatedKey(); ok {
-			f.store.Poison(key, engCfg.PoisonTTL)
+			f.store.Poison(key, tcache.DefaultPoisonTTL)
 		}
 		errMsg := fmt.Sprintf("panic: %v", panicVal)
 		out := attemptOut{err: errors.New(errMsg), kind: incident.KindPanic, retryable: true}

@@ -55,6 +55,10 @@ go test -race -count=1 -run 'TestChaosServing' ./internal/farm/
 # the harness end to end.
 go run ./cmd/cmsbench -exp farmscale -farmvms 1,4 -farmjobs 24
 
+# go test compiles benchmarks but never runs them: run the one profiling
+# benchmark once (a single pass over the eight hot kernels) so it cannot rot.
+go test -run '^$' -bench '^BenchmarkEngineRun$' -benchtime 1x ./internal/bench/
+
 # Generative fuzzer smoke: sweep 64 seeds through the full differential
 # oracle — nine straight legs per seed (interp, xlate, compiled, the risc
 # test executor, two pipeline widths, two shared-store runs, plus the
